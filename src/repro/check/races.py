@@ -243,27 +243,6 @@ class RaceSanitizer:
 
 
 # ---------------------------------------------------------------------------
-#: spec overrides for the smoke scenario: the full membership stack with
-#: fast gossip/escalation relative to the ms-scale epochs, two-way
-#: replication, and a throttled repair stream (so the limiter token —
-#: the likeliest same-timestamp cell — is actually exercised)
-SMOKE_SPEC_OVERRIDES = dict(
-    rpc_timeout=0.05,
-    rpc_max_retries=4,
-    rpc_backoff_base=1e-4,
-    rpc_backoff_cap=2e-3,
-    suspect_after=2,
-    replication_factor=2,
-    gossip_interval=0.005,
-    suspect_to_dead=0.03,
-    probation_period=0.02,
-    membership_enabled=True,
-    remap_enabled=True,
-    repair_enabled=True,
-    repair_bandwidth=50e6,
-)
-
-
 def membership_smoke(
     seed: int = 0,
     n_nodes: int = 4,
@@ -276,58 +255,36 @@ def membership_smoke(
 
     Returns the :class:`~repro.simcore.Environment` after teardown.
     """
-    from ..cluster import Allocation, TESTING
-    from ..core import HVACDeployment
+    from ..experiments import compare
+    from ..experiments.membership import MEMBERSHIP_MODES, MEMBERSHIP_SPEC_OVERRIDES
     from ..faults import FaultSchedule, crash
-    from ..simcore import AllOf, Environment, RandomStreams
-    from ..storage import GPFS
 
-    spec = TESTING.with_hvac(**SMOKE_SPEC_OVERRIDES)
-    env = Environment()
-    if trace is not None:
-        env.attach_trace(trace)
-    if sanitizer is not None:
-        env.attach_sanitizer(sanitizer)
-    alloc = Allocation(
-        env, spec, n_nodes=n_nodes, rand=RandomStreams(seed).child("cluster")
+    # the membership experiment's full stack, plus a throttled repair
+    # stream so the limiter token (the likeliest same-timestamp cell) is
+    # actually exercised
+    spec = compare.fault_spec(
+        None,
+        **MEMBERSHIP_SPEC_OVERRIDES,
+        **MEMBERSHIP_MODES["gossip+remap+repair"],
+        repair_bandwidth=50e6,
     )
-    pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs, seed=seed)
-    files = [(f"/pfs/ds/f{i:04d}", 20_000) for i in range(n_files)]
+    env, dep, _ = compare.build(
+        spec, n_nodes, seed, trace=trace, sanitizer=sanitizer
+    )
+    files = compare.files(n_files, 20_000)
     if dep.repair is not None:
         dep.repair.attach_manifest(files)
 
-    def epoch():
-        def reader(node):
-            cli = dep.client(node)
-            for path, size in files:
-                yield from cli.read_file(path, size, node)
-
-        procs = [
-            env.process(reader(n), name=f"epoch.n{n}") for n in range(n_nodes)
-        ]
-
-        def wait():
-            yield AllOf(env, procs)
-
-        env.run(env.process(wait(), name="epoch"))
-
-    epoch()  # cold
-    epoch()  # warm
+    compare.epoch(env, dep, n_nodes, files)  # cold
+    compare.epoch(env, dep, n_nodes, files)  # warm
     victims = [0, 1]  # adjacent pair: some files lose every replica
     dep.inject(FaultSchedule([crash(0.0, v) for v in victims]))
-    epoch()  # outage
+    compare.epoch(env, dep, n_nodes, files)  # outage
     for v in victims:
         dep.recover_node(v)  # same-instant burst recovery
     env.run(until=env.now + 2 * spec.hvac.probation_period)
-    deadline = env.now + 5.0
-    while (
-        dep.repair is not None
-        and dep.repair.in_flight > 0
-        and env.now < deadline
-    ):
-        env.run(until=env.now + 1e-3)
-    epoch()  # recovered
+    compare.drain_repair(env, dep)
+    compare.epoch(env, dep, n_nodes, files)  # recovered
     dep.teardown()
     if sanitizer is not None:
         sanitizer.finish()

@@ -62,6 +62,14 @@ def _add_scale_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repetitions", type=int, default=1)
 
 
+def _add_comparison_args(p: argparse.ArgumentParser, writes: str) -> None:
+    """The flags every mode-comparison command shares (see :func:`_emit`)."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output-dir", default="", help=f"also write {writes} here")
+    p.add_argument("--smoke", action="store_true",
+                   help="tiny fast run (CI artifact smoke test)")
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     spec = SUMMIT
     print(format_kv({
@@ -258,6 +266,24 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if result.cases else rc
 
 
+def _smoke(args: argparse.Namespace, **caps) -> None:
+    """``--smoke``: cap each named argument for a tiny CI run."""
+    if args.smoke:
+        for name, cap in caps.items():
+            setattr(args, name, min(getattr(args, name), cap))
+
+
+def _emit(result, output_dir: str | None) -> None:
+    """Print the rendered report; with ``output_dir``, also write the
+    artifacts and list them."""
+    print(result.render())
+    if output_dir:
+        paths = result.write_artifacts(output_dir)
+        print()
+        for name, path in paths.items():
+            print(f"wrote {name}: {path}")
+
+
 def cmd_resilience(args: argparse.Namespace) -> int:
     sweep = resilience_sweep(
         fail_fractions=args.fractions,
@@ -275,10 +301,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
-    if args.smoke:
-        args.nodes = min(args.nodes, 3)
-        args.files = min(args.files, 12)
-        args.windows = min(args.windows, 8)
+    _smoke(args, nodes=3, files=12, windows=8)
     result = slo_scenario(
         n_nodes=args.nodes,
         n_files=args.files,
@@ -287,20 +310,13 @@ def cmd_slo(args: argparse.Namespace) -> int:
         windows=args.windows,
         seed=args.seed,
     )
-    print(result.render())
-    if args.output_dir:
-        paths = result.write_artifacts(args.output_dir)
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
+    _emit(result, args.output_dir)
     return 0
 
 
 def cmd_membership(args: argparse.Namespace) -> int:
+    _smoke(args, nodes=4, files=12, windows=8)
     if args.smoke:
-        args.nodes = min(args.nodes, 4)
-        args.files = min(args.files, 12)
-        args.windows = min(args.windows, 8)
         args.repair_bandwidths = args.repair_bandwidths[:2]
     result = membership_comparison(
         n_nodes=args.nodes,
@@ -311,28 +327,16 @@ def cmd_membership(args: argparse.Namespace) -> int:
         repair_bandwidths=tuple(args.repair_bandwidths),
         seed=args.seed,
     )
-    print(result.render())
-    if args.output_dir:
-        paths = result.write_artifacts(args.output_dir)
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
+    _emit(result, args.output_dir)
     return 0
 
 
 def cmd_tenancy(args: argparse.Namespace) -> int:
-    cache_fraction = None
-    if args.smoke:
-        args.nodes = min(args.nodes, 3)
-        args.victim_files = min(args.victim_files, 12)
-        args.aggressor_files = min(args.aggressor_files, 120)
-        args.file_size = min(args.file_size, 100_000)
-        args.storm_passes = min(args.storm_passes, 2)
-        args.windows = min(args.windows, 8)
-        args.jobs = min(args.jobs, 6)
-        # Shrink the caches so the reduced-scale aggressor still thrashes
-        # (12 MB dataset vs a 6 MB fleet pool).
-        cache_fraction = 0.2
+    _smoke(args, nodes=3, victim_files=12, aggressor_files=120,
+           file_size=100_000, storm_passes=2, windows=8, jobs=6)
+    # Shrink the caches so the reduced-scale aggressor still thrashes
+    # (12 MB dataset vs a 6 MB fleet pool).
+    cache_fraction = 0.2 if args.smoke else None
     result = tenancy_isolation(
         n_nodes=args.nodes,
         victim_files=args.victim_files,
@@ -346,21 +350,12 @@ def cmd_tenancy(args: argparse.Namespace) -> int:
         cache_fraction=cache_fraction,
         seed=args.seed,
     )
-    print(result.render())
-    if args.output_dir:
-        paths = result.write_artifacts(args.output_dir)
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
+    _emit(result, args.output_dir)
     return 0 if result.dominates() else 1
 
 
 def cmd_prefetch(args: argparse.Namespace) -> int:
-    if args.smoke:
-        args.nodes = min(args.nodes, 3)
-        args.files = min(args.files, 96)
-        args.epochs = min(args.epochs, 3)
-        args.windows = min(args.windows, 8)
+    _smoke(args, nodes=3, files=96, epochs=3, windows=8)
     result = prefetch_comparison(
         n_nodes=args.nodes,
         n_files=args.files,
@@ -376,12 +371,7 @@ def cmd_prefetch(args: argparse.Namespace) -> int:
         fault=not args.no_fault,
         seed=args.seed,
     )
-    print(result.render())
-    if args.output_dir:
-        paths = result.write_artifacts(args.output_dir)
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
+    _emit(result, args.output_dir)
     return 0 if result.dominates() else 1
 
 
@@ -462,11 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-node", type=int, default=1)
     p.add_argument("--windows", type=int, default=12,
                    help="SLO window count across the measured epoch")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write dashboard.txt + span-timeline JSONL here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
+    _add_comparison_args(p, "dashboard.txt + span-timeline JSONL")
     p.set_defaults(func=cmd_slo)
 
     p = sub.add_parser(
@@ -488,11 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repair-bandwidths", type=float, nargs="+",
                    default=[1e6, 1e7, 1e8, 0.0],
                    help="repair throttle sweep, bytes/s (0 = unthrottled)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write report.txt + transitions.log here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
+    _add_comparison_args(p, "report.txt + transitions.log")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser(
@@ -519,11 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "pool's eviction horizon for the storm to bite")
     p.add_argument("--streams", type=int, default=4,
                    help="parallel aggressor sweep streams per node")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write report.txt + windows.log here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
+    _add_comparison_args(p, "report.txt + windows.log")
     p.set_defaults(func=cmd_tenancy)
 
     p = sub.add_parser(
@@ -555,11 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max total decompression seconds for dominance")
     p.add_argument("--no-fault", action="store_true",
                    help="skip the mid-run crash/recover leg")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default="",
-                   help="also write report.txt + windows.log here")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fast run (CI artifact smoke test)")
+    _add_comparison_args(p, "report.txt + windows.log")
     p.set_defaults(func=cmd_prefetch)
 
     p = sub.add_parser(

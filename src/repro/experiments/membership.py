@@ -34,14 +34,12 @@ artifact CI uploads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
-from ..analysis import count_strip, degradation_dashboard, format_table
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, crash
-from ..obs import SLOReport, SpanRecorder, bucket_times, compute_slo
-from .resilience import _build, _epoch, _fault_spec, _files
+from ..obs import SLOReport, SpanRecorder, bucket_times
+from . import compare
 
 __all__ = [
     "MEMBERSHIP_MODES",
@@ -49,7 +47,7 @@ __all__ = [
     "membership_comparison",
 ]
 
-#: scenario tuning on top of resilience's FAULT_SPEC_OVERRIDES: two-way
+#: scenario tuning on top of compare.FAULT_SPEC_OVERRIDES: two-way
 #: replication (so remap has stand-ins to use), fast gossip relative to
 #: the ms-scale epochs, suspected->dead escalation inside one outage
 MEMBERSHIP_SPEC_OVERRIDES = dict(
@@ -105,7 +103,7 @@ class ModeOutcome:
 
 
 @dataclass
-class MembershipResult:
+class MembershipResult(compare.Comparison):
     """Four-mode comparison + repair-throttle sweep."""
 
     n_nodes: int
@@ -146,74 +144,49 @@ class MembershipResult:
         )
 
     def render(self) -> str:
-        blocks = [format_table(
+        throttle = compare.table(
+            ["repair B/s", "repair (s)", "B from peers", "B from PFS",
+             "epoch during repair (s)", "slowdown vs warm"],
+            self.throttle_rows,
+            title="Repair-bandwidth sweep (post-recovery epoch "
+                  "overlapping the repair stream)",
+        ) if self.throttle_rows else ""
+        return compare.render(
             ["mode", "detect (s)", "probes@down", "degraded", "PFS fb",
              "outage (s)", "recovered (s)", "penalty"],
             self.rows(),
-            title=(f"Membership & repair ({self.n_nodes} nodes, "
-                   f"{self.n_files} files/epoch/node, "
-                   f"crash nodes {self.victims}, "
-                   f"{self.outage_epochs} outage epochs)"),
-            float_fmt="{:.4f}",
-        )]
-        verdict = "yes" if self.dominates() else "NO"
-        blocks.append(
+            (f"Membership & repair ({self.n_nodes} nodes, "
+             f"{self.n_files} files/epoch/node, "
+             f"crash nodes {self.victims}, "
+             f"{self.outage_epochs} outage epochs)"),
             "full stack strictly dominates detector-only "
-            f"(probes, degraded fraction, recovery penalty): {verdict}"
+            "(probes, degraded fraction, recovery penalty)",
+            self.dominates(),
+            throttle,
+            self.dashboard,
         )
-        if self.throttle_rows:
-            blocks.append(format_table(
-                ["repair B/s", "repair (s)", "B from peers", "B from PFS",
-                 "epoch during repair (s)", "slowdown vs warm"],
-                self.throttle_rows,
-                title="Repair-bandwidth sweep (post-recovery epoch "
-                      "overlapping the repair stream)",
-                float_fmt="{:.4f}",
-            ))
-        if self.dashboard:
-            blocks.append(self.dashboard)
-        return "\n\n".join(blocks)
 
     def transition_log(self) -> str:
         """The determinism artifact: every membership transition of
         every view, in (time, owner, server) order."""
-        lines = []
-        for mode, oc in self.outcomes.items():
-            lines.append(f"== {mode} ==")
-            for t, owner, sid, old, new, inc, why in oc.transitions:
-                lines.append(
-                    f"{t:.9f} {owner} s{sid} {old}->{new} inc={inc} {why}"
-                )
-        return "\n".join(lines) + "\n"
+        return compare.mode_log(self.outcomes, lambda oc: (
+            f"{t:.9f} {owner} s{sid} {old}->{new} inc={inc} {why}"
+            for t, owner, sid, old, new, inc, why in oc.transitions
+        ))
 
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``report.txt`` + ``transitions.log``; returns
-        ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        report = os.path.join(outdir, "report.txt")
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["report"] = report
-        log = os.path.join(outdir, "transitions.log")
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.write(self.transition_log())
-        paths["transitions"] = log
-        return paths
+    def logs(self) -> dict[str, tuple[str, str]]:
+        return {"transitions": ("transitions.log", self.transition_log())}
 
 
 def _collect_transitions(dep) -> list[tuple]:
     """Merge every view's transition log, deterministically ordered."""
-    merged = []
-    for node_id in sorted(dep.views):
-        view = dep.views[node_id]
-        for t, sid, old, new, inc, why in view.transitions:
-            merged.append((t, view.owner, sid, old, new, inc, why))
-    for server in dep.servers:
-        if server.board is None:
-            continue
-        for t, sid, old, new, inc, why in server.board.transitions:
-            merged.append((t, server.board.owner, sid, old, new, inc, why))
+    sources = [dep.views[node_id] for node_id in sorted(dep.views)]
+    sources += [server.board for server in dep.servers if server.board is not None]
+    merged = [
+        (t, src.owner, sid, old, new, inc, why)
+        for src in sources
+        for t, sid, old, new, inc, why in src.transitions
+    ]
     merged.sort(key=lambda row: (row[0], row[1], row[2]))
     return merged
 
@@ -252,15 +225,6 @@ def _probe_count(dep) -> int:
     return total
 
 
-def _drain_repair(env, dep, max_seconds: float = 5.0) -> None:
-    """Run the sim until every in-flight repair stream finishes."""
-    if dep.repair is None:
-        return
-    deadline = env.now + max_seconds
-    while dep.repair.in_flight > 0 and env.now < deadline:
-        env.run(until=env.now + 1e-3)
-
-
 def _run_mode(
     mode: str,
     spec: ClusterSpec,
@@ -277,29 +241,26 @@ def _run_mode(
     """One full crash -> outage -> recover -> measure cycle."""
     oc = ModeOutcome(mode=mode)
     rec = SpanRecorder()
-    env, dep, _ = _build(spec, n_nodes, seed, spans=rec, trace=trace)
+    env, dep, _ = compare.build(spec, n_nodes, seed, spans=rec, trace=trace)
     if dep.repair is not None:
         dep.repair.attach_manifest(files)
 
-    _epoch(env, dep, n_nodes, files)  # cold
-    oc.warm_seconds = _epoch(env, dep, n_nodes, files)
+    compare.epoch(env, dep, n_nodes, files)  # cold
+    oc.warm_seconds = compare.epoch(env, dep, n_nodes, files)
 
     t_crash = env.now
     dep.inject(FaultSchedule([crash(0.0, v) for v in victims]))
-    m = dep.metrics
     probes0 = _probe_count(dep)
-    degraded0 = m.counter("hvac.client_degraded_reads").value
-    fallbacks0 = m.counter("hvac.client_pfs_fallback").value
+    degraded = compare.counter_since(dep, "hvac.client_degraded_reads")
+    fallbacks = compare.counter_since(dep, "hvac.client_pfs_fallback")
 
     outage_total = 0.0
     for _ in range(outage_epochs):
-        outage_total += _epoch(env, dep, n_nodes, files)
+        outage_total += compare.epoch(env, dep, n_nodes, files)
     oc.outage_seconds = outage_total / outage_epochs
     n_outage_reads = n_nodes * len(files) * outage_epochs
-    oc.degraded_fraction = (
-        m.counter("hvac.client_degraded_reads").value - degraded0
-    ) / n_outage_reads
-    oc.pfs_fallbacks = m.counter("hvac.client_pfs_fallback").value - fallbacks0
+    oc.degraded_fraction = degraded() / n_outage_reads
+    oc.pfs_fallbacks = fallbacks()
 
     lats = _detection_latencies(dep, set(victims), t_crash)
     oc.detect_latency = sum(lats) / len(lats) if lats else math.nan
@@ -311,10 +272,10 @@ def _run_mode(
     if settle > 0:
         env.run(until=env.now + settle)
     if drain:
-        _drain_repair(env, dep)
-    oc.recovered_seconds = _epoch(env, dep, n_nodes, files)
+        compare.drain_repair(env, dep)
+    oc.recovered_seconds = compare.epoch(env, dep, n_nodes, files)
     if not drain:
-        _drain_repair(env, dep)
+        compare.drain_repair(env, dep)
     oc.dup_probes = _probe_count(dep) - probes0
 
     if dep.repair is not None:
@@ -330,32 +291,8 @@ def _run_mode(
 
     oc.transitions = _collect_transitions(dep)
     oc.transition_times = [row[0] for row in oc.transitions if row[0] >= t_crash]
-    window = max((t_end - t_crash) / windows, 1e-9)
-    oc.slo = compute_slo(rec, window, origin=t_crash, horizon=t_end)
+    oc.slo = compare.slo_over(rec, t_crash, t_end, windows)
     return oc
-
-
-def _strip_dashboard(result: MembershipResult) -> str:
-    """Degradation strips + membership-transition strips, per mode, on
-    each mode's own post-crash window grid."""
-    reports = {
-        mode: oc.slo for mode, oc in result.outcomes.items() if oc.slo is not None
-    }
-    dash = degradation_dashboard(
-        reports,
-        title="post-crash SLO windows (origin = crash instant)",
-        per_client=False,
-    )
-    width = max(len(mode) for mode in reports)
-    lines = ["-- membership transitions per window (count; '+'=10+) --"]
-    for mode, oc in result.outcomes.items():
-        if oc.slo is None:
-            continue
-        counts = bucket_times(
-            oc.transition_times, oc.slo.window, oc.slo.t0, oc.slo.t1
-        )
-        lines.append(f"{mode.ljust(width)} |{count_strip(counts)}|")
-    return dash + "\n\n" + "\n".join(lines)
 
 
 def membership_comparison(
@@ -378,11 +315,16 @@ def membership_comparison(
     pays most.  ``repair_bandwidths`` values of ``0.0`` mean
     unthrottled.
     """
-    if n_nodes < 3:
-        raise ValueError("membership_comparison needs >= 3 nodes")
+    compare.require_scale("membership_comparison", n_nodes, 3, windows)
+    if outage_epochs < 1:
+        raise ValueError("membership_comparison needs >= 1 outage epoch")
     victims = [v % n_nodes for v in victims]
-    base = _fault_spec(spec, **MEMBERSHIP_SPEC_OVERRIDES)
-    files = _files(n_files, file_size)
+    if len(set(victims)) != len(victims):
+        raise ValueError(
+            f"membership victims collide modulo {n_nodes} nodes: {victims}"
+        )
+    base = compare.fault_spec(spec, **MEMBERSHIP_SPEC_OVERRIDES)
+    files = compare.files(n_files, file_size)
     result = MembershipResult(
         n_nodes=n_nodes,
         n_files=n_files,
@@ -414,5 +356,16 @@ def membership_comparison(
             oc.recovered_seconds / warm if warm else math.nan,
         ])
 
-    result.dashboard = _strip_dashboard(result)
+    # membership-transition strips under each mode's post-crash windows
+    result.dashboard = compare.mode_dashboard(
+        result.outcomes,
+        "post-crash SLO windows (origin = crash instant)",
+        ("membership transitions", [
+            (mode, bucket_times(
+                oc.transition_times, oc.slo.window, oc.slo.t0, oc.slo.t1
+            ))
+            for mode, oc in result.outcomes.items()
+            if oc.slo is not None
+        ]),
+    )
     return result

@@ -30,18 +30,15 @@ reduces PFS bytes at a bounded decompression cost.**
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from ..analysis import degradation_dashboard, format_table
 from ..cluster import ClusterSpec
 from ..core import CachePrefetcher
 from ..dl import SyntheticDataset, make_epoch_plan
 from ..dl.dataset import DatasetSpec
-from ..obs import SLOReport, SpanRecorder, compute_slo
+from ..obs import SLOReport, SpanRecorder
 from ..prefetch import ClairvoyantPlanner, LookaheadScheduler
-from ..simcore import AllOf
-from .resilience import _build, _fault_spec
+from . import compare
 
 __all__ = [
     "PREFETCH_MODES",
@@ -95,7 +92,7 @@ class ModeOutcome:
 
 
 @dataclass
-class PrefetchResult:
+class PrefetchResult(compare.Comparison):
     """Three-mode prefetch comparison under contention and a crash."""
 
     n_nodes: int
@@ -145,56 +142,31 @@ class PrefetchResult:
         )
 
     def render(self) -> str:
-        blocks = [format_table(
+        return compare.render(
             ["mode", "epoch1 (s)", "penalty", "steady p99", "degr",
              "PFS B", "hits", "staged", "invalid", "decomp (s)"],
             self.rows(),
-            title=(f"Clairvoyant prefetch ({self.n_nodes} nodes x "
-                   f"{self.epochs} epochs over {self.n_files}x"
-                   f"{self.file_size}B, lookahead {self.lookahead}, "
-                   f"compressed ratio {self.compression_ratio:g}"
-                   + (", mid-run crash" if self.fault else "") + ")"),
-            float_fmt="{:.4f}",
-        )]
-        verdict = "yes" if self.dominates() else "NO"
-        blocks.append(
+            (f"Clairvoyant prefetch ({self.n_nodes} nodes x "
+             f"{self.epochs} epochs over {self.n_files}x"
+             f"{self.file_size}B, lookahead {self.lookahead}, "
+             f"compressed ratio {self.compression_ratio:g}"
+             + (", mid-run crash" if self.fault else "") + ")"),
             "clairvoyant strictly dominates reactive (epoch-1 read time, "
             "steady p99) and the compressed tier reduces PFS bytes within "
-            f"a {self.decompress_budget:g}s decompression budget: {verdict}"
+            f"a {self.decompress_budget:g}s decompression budget",
+            self.dominates(),
+            self.dashboard,
         )
-        if self.dashboard:
-            blocks.append(self.dashboard)
-        return "\n\n".join(blocks)
 
     def window_log(self) -> str:
         """The determinism artifact: every total SLO window of every
         mode's run, machine-checkably ordered."""
-        lines = []
-        for mode, oc in self.outcomes.items():
-            lines.append(f"== {mode} ==")
-            if oc.slo is None:
-                continue
-            for w in oc.slo.totals.windows:
-                lines.append(
-                    f"[{w.t0:.9f},{w.t1:.9f}) n={w.n_reads} "
-                    f"degraded={w.degraded} p99={w.p99:.9f}"
-                )
-        return "\n".join(lines) + "\n"
+        return compare.window_log(
+            self.outcomes, lambda slo: (("", w) for w in slo.totals.windows)
+        )
 
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``report.txt`` + ``windows.log``; returns
-        ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        report = os.path.join(outdir, "report.txt")
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["report"] = report
-        log = os.path.join(outdir, "windows.log")
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.write(self.window_log())
-        paths["windows"] = log
-        return paths
+    def logs(self) -> dict[str, tuple[str, str]]:
+        return {"windows": ("windows.log", self.window_log())}
 
 
 def _dataset(n_files: int, file_size: int, seed: int) -> SyntheticDataset:
@@ -241,7 +213,7 @@ def _run_mode(
     """One multi-epoch training run under one prefetch configuration."""
     oc = ModeOutcome(mode=mode)
     rec = SpanRecorder()
-    env, dep, pfs = _build(spec, n_nodes, seed, spans=rec, trace=trace)
+    env, dep, pfs = compare.build(spec, n_nodes, seed, spans=rec, trace=trace)
     m = dep.metrics
 
     plans = [
@@ -305,11 +277,7 @@ def _run_mode(
     ]
     if fault:
         env.process(crasher(), name="prefetch.crash")
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(), name="prefetch.wait"))
+    compare.run_all(env, procs, "prefetch.wait")
     t_end = env.now
     if scheduler is not None:
         scheduler.stop()
@@ -324,8 +292,7 @@ def _run_mode(
         if epochs > 1 and oc.steady_epoch_seconds > 0
         else math.nan
     )
-    window = max(steady / windows, 1e-9)
-    oc.slo = compute_slo(rec, window, origin=epoch1_end, horizon=t_end)
+    oc.slo = compare.slo_over(rec, epoch1_end, t_end, windows)
     oc.steady_p99 = oc.slo.totals.p99
     oc.steady_degraded_fraction = oc.slo.totals.degraded_fraction
     oc.pfs_bytes = _pfs_read_bytes(pfs.metrics)
@@ -366,23 +333,19 @@ def prefetch_comparison(
     scales every server's cache slice to keep that regime at any node
     count.
     """
-    if n_nodes < 2:
-        raise ValueError("prefetch_comparison needs >= 2 nodes")
+    compare.require_scale("prefetch_comparison", n_nodes, 2, windows)
     if epochs < 2:
         raise ValueError("prefetch_comparison needs >= 2 epochs")
-    overrides = dict(PREFETCH_SPEC_OVERRIDES)
-    overrides["cache_fraction"] = cache_fraction
-    overrides["prefetch_lookahead"] = lookahead
-    overrides["prefetch_outstanding"] = outstanding
-    base = _fault_spec(spec, **overrides)
+    base = compare.fault_spec(
+        spec, **PREFETCH_SPEC_OVERRIDES, cache_fraction=cache_fraction,
+        prefetch_lookahead=lookahead, prefetch_outstanding=outstanding,
+    )
     # TESTING's metadata servers (1 ms per op, serial) saturate at toy
     # miss rates, making every mode MDS-bound — in that regime staging
     # the same opens earlier only adds burstiness.  Give the experiment
     # a metadata-capable PFS so misses are bandwidth/latency bound and
     # the comparison measures prefetch policy, not MDS queueing.
-    base = replace(
-        base, pfs=replace(base.pfs, metadata_ops_per_sec=20_000.0)
-    )
+    base = base.with_pfs(metadata_ops_per_sec=20_000.0)
     dataset = _dataset(n_files, file_size, seed)
     result = PrefetchResult(
         n_nodes=n_nodes,
@@ -409,12 +372,7 @@ def prefetch_comparison(
             mode, mode_spec, dataset, n_nodes, epochs, windows,
             lookahead, outstanding, seed, fault, outage, trace=trace,
         )
-    reports = {
-        mode: oc.slo for mode, oc in result.outcomes.items() if oc.slo is not None
-    }
-    result.dashboard = degradation_dashboard(
-        reports,
-        title="steady-state SLO windows (origin = epoch-1 end)",
-        per_client=False,
+    result.dashboard = compare.mode_dashboard(
+        result.outcomes, "steady-state SLO windows (origin = epoch-1 end)"
     )
     return result

@@ -21,84 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..analysis import format_table
-from ..cluster import Allocation, ClusterSpec, TESTING
-from ..core import HVACDeployment
+from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, crash, degrade, flaky_link, flap, hang
-from ..simcore import AllOf, Environment, RandomStreams
-from ..storage import GPFS
+from . import compare
+from .compare import FAULT_SPEC_OVERRIDES
 
 __all__ = [
+    "FAULT_SPEC_OVERRIDES",
     "FaultMatrixResult",
     "ResilienceResult",
     "fault_matrix",
     "resilience_sweep",
 ]
-
-FAULT_SPEC_OVERRIDES = dict(
-    rpc_timeout=0.05,
-    rpc_max_retries=4,
-    rpc_backoff_base=1e-4,
-    rpc_backoff_cap=2e-3,
-    suspect_after=2,
-    probation_period=0.05,
-)
-
-
-def _fault_spec(spec: ClusterSpec | None, **overrides) -> ClusterSpec:
-    base = spec if spec is not None else TESTING
-    return base.with_hvac(**{**FAULT_SPEC_OVERRIDES, **overrides})
-
-
-def _build(spec: ClusterSpec, n_nodes: int, seed: int, spans=None, trace=None):
-    env = Environment()
-    if trace is not None:
-        env.attach_trace(trace)
-    alloc = Allocation(
-        env, spec, n_nodes=n_nodes, rand=RandomStreams(seed).child("cluster")
-    )
-    pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs, seed=seed, spans=spans)
-    return env, dep, pfs
-
-
-def _files(n_files: int, file_size: int) -> list[tuple[str, int]]:
-    return [(f"/pfs/ds/f{i:04d}", file_size) for i in range(n_files)]
-
-
-def _epoch(env, dep, n_nodes: int, files) -> float:
-    """One epoch: every node reads every file through its HVAC client."""
-
-    def reader(node):
-        cli = dep.client(node)
-        for path, size in files:
-            yield from cli.read_file(path, size, node)
-
-    t0 = env.now
-    procs = [env.process(reader(n), name=f"epoch.n{n}") for n in range(n_nodes)]
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(), name="epoch"))
-    return env.now - t0
-
-
-def _pfs_epoch(env, pfs, n_nodes: int, files) -> float:
-    """The degradation bound: the same epoch read straight from the PFS."""
-
-    def reader(node):
-        for path, size in files:
-            yield from pfs.read_file(path, size, node)
-
-    t0 = env.now
-    procs = [env.process(reader(n)) for n in range(n_nodes)]
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(), name="pfs-epoch"))
-    return env.now - t0
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +63,12 @@ class ResilienceResult:
         return out
 
     def render(self) -> str:
-        table = format_table(
+        table = compare.table(
             ["failed servers", "warm (s)", "degraded (s)", "slowdown",
              "recovered (s)", "PFS fallbacks"],
             self.rows(),
             title=(f"Resilience sweep ({self.n_nodes} nodes, "
                    f"{self.n_files} files/epoch/node)"),
-            float_fmt="{:.4f}",
         )
         return (f"{table}\n"
                 f"all-PFS baseline epoch: {self.pfs_baseline:.4f} s "
@@ -162,29 +95,27 @@ def resilience_sweep(
     every deployment's read telemetry into one timeline — the
     determinism test's double-run comparison key.
     """
-    spec = _fault_spec(spec)
+    spec = compare.fault_spec(spec)
     result = ResilienceResult(
         n_nodes=n_nodes, n_files=n_files,
         fail_fractions=[float(f) for f in fail_fractions],
     )
-    files = _files(n_files, file_size)
+    files = compare.files(n_files, file_size)
 
-    env, _, pfs = _build(spec, n_nodes, seed, trace=trace)
-    result.pfs_baseline = _pfs_epoch(env, pfs, n_nodes, files)
+    env, _, pfs = compare.build(spec, n_nodes, seed, trace=trace)
+    result.pfs_baseline = compare.pfs_epoch(env, pfs, n_nodes, files)
 
     for frac in result.fail_fractions:
-        env, dep, _ = _build(spec, n_nodes, seed, spans=spans, trace=trace)
-        _epoch(env, dep, n_nodes, files)  # cold
-        result.warm.append(_epoch(env, dep, n_nodes, files))
+        env, dep, _ = compare.build(spec, n_nodes, seed, spans=spans, trace=trace)
+        compare.epoch(env, dep, n_nodes, files)  # cold
+        result.warm.append(compare.epoch(env, dep, n_nodes, files))
 
         n_failed = min(n_nodes - 1, math.ceil(frac * n_nodes)) if frac else 0
         victims = list(range(n_failed))
         dep.inject(FaultSchedule([crash(0.0, node) for node in victims]))
-        fb0 = dep.metrics.counter("hvac.client_pfs_fallback").value
-        result.degraded.append(_epoch(env, dep, n_nodes, files))
-        result.pfs_fallbacks.append(
-            dep.metrics.counter("hvac.client_pfs_fallback").value - fb0
-        )
+        fallbacks = compare.counter_since(dep, "hvac.client_pfs_fallback")
+        result.degraded.append(compare.epoch(env, dep, n_nodes, files))
+        result.pfs_fallbacks.append(fallbacks())
 
         for node in victims:
             dep.recover_node(node)
@@ -192,7 +123,7 @@ def resilience_sweep(
             # Let every client's probation for the victims expire so the
             # next epoch re-probes (and re-adopts) them.
             env.run(until=env.now + 2 * spec.hvac.probation_period)
-        result.recovered.append(_epoch(env, dep, n_nodes, files))
+        result.recovered.append(compare.epoch(env, dep, n_nodes, files))
         dep.teardown()
     return result
 
@@ -220,13 +151,12 @@ class FaultMatrixResult:
         ]
 
     def render(self) -> str:
-        return format_table(
+        return compare.table(
             ["fault", "epoch (s)", "RPC timeouts", "PFS fallbacks",
              "suspicions"],
             self.rows(),
             title=(f"Fault matrix ({self.n_nodes} nodes, "
                    f"{self.n_files} files/epoch/node): every epoch completes"),
-            float_fmt="{:.4f}",
         )
 
 
@@ -260,24 +190,20 @@ def fault_matrix(
     epoch.  Every row finishing is the §III-H qualitative claim — a dead
     or misbehaving HVAC server degrades performance, never correctness.
     """
-    spec = _fault_spec(spec)
-    files = _files(n_files, file_size)
+    spec = compare.fault_spec(spec)
+    files = compare.files(n_files, file_size)
     result = FaultMatrixResult(n_nodes=n_nodes, n_files=n_files)
     for kind, schedule in _matrix_schedules(n_nodes).items():
-        env, dep, _ = _build(spec, n_nodes, seed, spans=spans)
-        _epoch(env, dep, n_nodes, files)  # warm
-        to0 = dep.metrics.counter("hvac.client_rpc_timeouts").value
-        fb0 = dep.metrics.counter("hvac.client_pfs_fallback").value
+        env, dep, _ = compare.build(spec, n_nodes, seed, spans=spans)
+        compare.epoch(env, dep, n_nodes, files)  # warm
+        timeouts = compare.counter_since(dep, "hvac.client_rpc_timeouts")
+        fallbacks = compare.counter_since(dep, "hvac.client_pfs_fallback")
         dep.inject(schedule)
-        elapsed = _epoch(env, dep, n_nodes, files)
+        elapsed = compare.epoch(env, dep, n_nodes, files)
         result.kinds.append(kind)
         result.epoch_seconds.append(elapsed)
-        result.timeouts.append(
-            dep.metrics.counter("hvac.client_rpc_timeouts").value - to0
-        )
-        result.fallbacks.append(
-            dep.metrics.counter("hvac.client_pfs_fallback").value - fb0
-        )
+        result.timeouts.append(timeouts())
+        result.fallbacks.append(fallbacks())
         result.suspicions.append(
             sum(dep.client(n).detector.n_suspicions for n in range(n_nodes))
         )

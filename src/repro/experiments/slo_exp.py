@@ -16,14 +16,13 @@ in the dashboard is attributable to the injected fault.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from ..analysis import count_strip, degradation_dashboard
+from ..analysis import degradation_dashboard
 from ..cluster import ClusterSpec
 from ..faults import FaultSchedule, crash
-from ..obs import SLOReport, SpanRecorder, bucket_times, compute_slo
-from .resilience import _build, _epoch, _fault_spec, _files
+from ..obs import SLOReport, SpanRecorder, bucket_times
+from . import compare
 
 #: detector transition kinds, in lifecycle order (strip row order)
 _DETECTOR_KINDS = ("suspect", "probation_expired", "reprobe_ok", "reprobe_fail")
@@ -32,8 +31,10 @@ __all__ = ["SLOScenarioResult", "slo_scenario"]
 
 
 @dataclass
-class SLOScenarioResult:
+class SLOScenarioResult(compare.Comparison):
     """Baseline + faulted SLO reports over one shared window grid."""
+
+    REPORT = "dashboard"
 
     n_nodes: int
     n_files: int
@@ -72,12 +73,7 @@ class SLOScenarioResult:
                 ))
         if not rows:
             return ""
-        width = max(len(name) for name, _ in rows)
-        lines = ["-- failure-detector transitions per window "
-                 "(count; '+'=10+) --"]
-        for name, counts in rows:
-            lines.append(f"{name.ljust(width)} |{count_strip(counts)}|")
-        return "\n".join(lines)
+        return compare.strip_block("failure-detector transitions", rows)
 
     def render(self) -> str:
         base_label, fault_label = self.labels
@@ -90,21 +86,14 @@ class SLOScenarioResult:
         strips = self._detector_strips()
         return dash + ("\n\n" + strips if strips else "")
 
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``dashboard.txt`` + one span-timeline JSONL per run;
-        returns ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        dash = os.path.join(outdir, "dashboard.txt")
-        with open(dash, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["dashboard"] = dash
+    def logs(self) -> dict[str, tuple[str, str]]:
+        """One span-timeline JSONL per run."""
+        logs = {}
         for label, rec in self.recorders.items():
             safe = label.replace("@", "_at_").replace(".", "_")
-            path = os.path.join(outdir, f"spans_{safe}.jsonl")
-            rec.write_jsonl(path)
-            paths[f"spans[{label}]"] = path
-        return paths
+            text = "".join(line + "\n" for line in rec.to_jsonl_lines())
+            logs[f"spans[{label}]"] = (f"spans_{safe}.jsonl", text)
+        return logs
 
 
 def slo_scenario(
@@ -126,20 +115,19 @@ def slo_scenario(
     cover the *slower* run — identical absolute buckets for both
     reports, which is what makes the dashboard rows comparable.
     """
-    if n_nodes < 2:
-        raise ValueError("slo_scenario needs >= 2 nodes (one to crash)")
-    spec = _fault_spec(spec)
-    files = _files(n_files, file_size)
+    compare.require_scale("slo_scenario", n_nodes, 2, windows)  # one to crash
+    spec = compare.fault_spec(spec)
+    files = compare.files(n_files, file_size)
     fault_node = fault_node % n_nodes
 
     def run(schedule: FaultSchedule | None):
         rec = SpanRecorder()
-        env, dep, _ = _build(spec, n_nodes, seed, spans=rec)
-        _epoch(env, dep, n_nodes, files)  # warm the cache
+        env, dep, _ = compare.build(spec, n_nodes, seed, spans=rec)
+        compare.epoch(env, dep, n_nodes, files)  # warm the cache
         t0 = env.now
         if schedule is not None:
             dep.inject(schedule)
-        _epoch(env, dep, n_nodes, files)
+        compare.epoch(env, dep, n_nodes, files)
         t1 = env.now
         transitions = sorted(
             (t, node, kind, sid)
@@ -158,15 +146,14 @@ def slo_scenario(
     # start at the same instant; the faulted one just ends later.
     origin = min(base_t0, fault_t0)
     horizon = max(base_t1, fault_t1)
-    window = (horizon - origin) / windows
 
     result = SLOScenarioResult(
         n_nodes=n_nodes,
         n_files=n_files,
         fault_time=fault_time,
         fault_node=fault_node,
-        baseline=compute_slo(rec_base, window, origin=origin, horizon=horizon),
-        faulted=compute_slo(rec_fault, window, origin=origin, horizon=horizon),
+        baseline=compare.slo_over(rec_base, origin, horizon, windows),
+        faulted=compare.slo_over(rec_fault, origin, horizon, windows),
         recorders={},
         detector_transitions={},
     )

@@ -29,12 +29,10 @@ queue / degrade-to-PFS / reject) with the resulting per-job log.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
-from ..analysis import count_strip, degradation_dashboard, format_table
 from ..cluster import ClusterSpec
-from ..obs import SLOReport, SpanRecorder, compute_slo
+from ..obs import SLOReport, SpanRecorder
 from ..simcore import AllOf
 from ..tenancy import (
     TENANCY_MODES,
@@ -43,7 +41,7 @@ from ..tenancy import (
     run_jobs,
     sample_jobs,
 )
-from .resilience import _build, _fault_spec
+from . import compare
 
 __all__ = [
     "TENANCY_SPEC_OVERRIDES",
@@ -51,7 +49,7 @@ __all__ = [
     "tenancy_isolation",
 ]
 
-#: storm tuning on top of resilience's FAULT_SPEC_OVERRIDES: global LRU
+#: storm tuning on top of compare.FAULT_SPEC_OVERRIDES: global LRU
 #: (the policy the shared mode is named for) and a deadline sitting
 #: between an NVMe hit (~0.7 ms on TESTING) and a PFS fetch queued
 #: behind the storm (>= 4 ms), so every cache-isolation failure
@@ -65,27 +63,6 @@ TENANCY_SPEC_OVERRIDES = dict(
     rpc_max_retries=2,
     suspect_after=1_000_000,
 )
-
-
-def _victim_spec(n_files: int, file_size: int) -> TenantSpec:
-    return TenantSpec(
-        tenant_id=0,
-        name="victim",
-        kind="inference",
-        n_files=n_files,
-        file_size=file_size,
-        hot_fraction=0.8,
-    )
-
-
-def _aggressor_spec(n_files: int, file_size: int) -> TenantSpec:
-    return TenantSpec(
-        tenant_id=1,
-        name="aggressor",
-        kind="training",
-        n_files=n_files,
-        file_size=file_size,
-    )
 
 
 @dataclass
@@ -108,7 +85,7 @@ class ModeOutcome:
 
 
 @dataclass
-class TenancyResult:
+class TenancyResult(compare.Comparison):
     """Three-policy storm comparison + the admission-control demo."""
 
     n_nodes: int
@@ -158,70 +135,45 @@ class TenancyResult:
         )
 
     def render(self) -> str:
-        blocks = [format_table(
+        admission = compare.table(
+            ["tenant", "kind", "action", "arrive", "start", "done",
+             "reads"],
+            self.admission_rows,
+            title=(
+                "Admission-controlled arrival mix "
+                + " ".join(
+                    f"{k}={v}" for k, v in self.admission_counts.items()
+                )
+            ),
+        ) if self.admission_rows else ""
+        return compare.render(
             ["policy", "victim p50", "victim p99", "victim degr",
              "aggr p99", "victim B", "aggr B", "PFS fb", "storm (s)"],
             self.rows(),
-            title=(f"Hot-storm isolation ({self.n_nodes} nodes; victim "
-                   f"{self.victim.n_files}x{self.victim.file_size}B hot reads "
-                   f"vs aggressor {self.aggressor.n_files}x"
-                   f"{self.aggressor.file_size}B thrash, "
-                   f"{self.storm_passes} passes)"),
-            float_fmt="{:.4f}",
-        )]
-        verdict = "yes" if self.dominates() else "NO"
-        blocks.append(
+            (f"Hot-storm isolation ({self.n_nodes} nodes; victim "
+             f"{self.victim.n_files}x{self.victim.file_size}B hot reads "
+             f"vs aggressor {self.aggressor.n_files}x"
+             f"{self.aggressor.file_size}B thrash, "
+             f"{self.storm_passes} passes)"),
             "weighted-fair strictly dominates shared global LRU for the "
             "victim (p99, degraded fraction) at bounded aggressor cost "
-            f"(<= {self.aggressor_cost_bound:g}x): {verdict}"
+            f"(<= {self.aggressor_cost_bound:g}x)",
+            self.dominates(),
+            admission,
+            self.dashboard,
         )
-        if self.admission_rows:
-            blocks.append(format_table(
-                ["tenant", "kind", "action", "arrive", "start", "done",
-                 "reads"],
-                self.admission_rows,
-                title=(
-                    "Admission-controlled arrival mix "
-                    + " ".join(
-                        f"{k}={v}" for k, v in self.admission_counts.items()
-                    )
-                ),
-                float_fmt="{:.4f}",
-            ))
-        if self.dashboard:
-            blocks.append(self.dashboard)
-        return "\n\n".join(blocks)
 
     def window_log(self) -> str:
         """The determinism artifact: every per-tenant SLO window of
         every policy run, machine-checkably ordered."""
-        lines = []
-        for mode, oc in self.outcomes.items():
-            lines.append(f"== {mode} ==")
-            if oc.slo is None:
-                continue
-            for tid in sorted(oc.slo.tenants):
-                for w in oc.slo.tenants[tid].windows:
-                    lines.append(
-                        f"t{tid} [{w.t0:.9f},{w.t1:.9f}) n={w.n_reads} "
-                        f"degraded={w.degraded} p99={w.p99:.9f}"
-                    )
-        return "\n".join(lines) + "\n"
+        return compare.window_log(self.outcomes, lambda slo: (
+            (f"t{tid} ", w)
+            for tid in sorted(slo.tenants)
+            for w in slo.tenants[tid].windows
+        ))
 
-    def write_artifacts(self, outdir: str) -> dict[str, str]:
-        """Write ``report.txt`` + ``windows.log``; returns
-        ``{artifact name: path}``."""
-        os.makedirs(outdir, exist_ok=True)
-        paths: dict[str, str] = {}
-        report = os.path.join(outdir, "report.txt")
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write(self.render() + "\n")
-        paths["report"] = report
-        log = os.path.join(outdir, "windows.log")
-        with open(log, "w", encoding="utf-8") as fh:
-            fh.write(self.window_log())
-        paths["windows"] = log
-        return paths
+    def logs(self) -> dict[str, tuple[str, str]]:
+        return {"windows": ("windows.log", self.window_log())}
 
 
 def _sweep_readers(env, fleet, spec, n_nodes: int, passes: int, streams: int = 1):
@@ -298,22 +250,17 @@ def _run_mode(
     """One warm -> storm cycle under one cache-tenancy policy."""
     oc = ModeOutcome(mode=mode)
     rec = SpanRecorder()
-    env, dep, _ = _build(spec, n_nodes, seed, spans=rec, trace=trace)
+    env, dep, _ = compare.build(spec, n_nodes, seed, spans=rec, trace=trace)
     fleet = TenantFleet(dep, mode=mode, tenants=[victim, aggressor])
-    m = dep.metrics
 
     # Warm: the victim populates its working set, storm-free.
     warm = _sweep_readers(env, fleet, victim, n_nodes, passes=1)
-
-    def wait(procs):
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(warm), name="tenancy.warm"))
+    compare.run_all(env, warm, "tenancy.warm")
 
     # Storm: the aggressor thrashes for `storm_passes` sweeps while the
     # victim's inference service runs alongside for the whole duration.
     t0 = env.now
-    fallbacks0 = m.counter("hvac.client_pfs_fallback").value
+    fallbacks = compare.counter_since(dep, "hvac.client_pfs_fallback")
     stop = {"done": False}
     victims = _victim_service(env, fleet, victim, n_nodes, stop, think)
     storm = _sweep_readers(
@@ -333,9 +280,8 @@ def _run_mode(
     oc.refusals = sum(
         fleet.ledger.refusals(tid) for tid in fleet.tenants
     )
-    oc.pfs_fallbacks = m.counter("hvac.client_pfs_fallback").value - fallbacks0
-    window = max((t_end - t0) / windows, 1e-9)
-    oc.slo = compute_slo(rec, window, origin=t0, horizon=t_end)
+    oc.pfs_fallbacks = fallbacks()
+    oc.slo = compare.slo_over(rec, t0, t_end, windows)
     vic = oc.slo.tenants.get(victim.tenant_id)
     if vic is not None:
         oc.victim_reads = vic.n_reads
@@ -350,36 +296,11 @@ def _run_mode(
     return oc
 
 
-def _strip_dashboard(result: TenancyResult) -> str:
-    """Degradation strips per policy + per-tenant degraded-read strips
-    on each policy's own storm window grid."""
-    reports = {
-        mode: oc.slo for mode, oc in result.outcomes.items() if oc.slo is not None
-    }
-    dash = degradation_dashboard(
-        reports,
-        title="storm SLO windows (origin = storm onset)",
-        per_client=False,
-    )
-    labels = [
-        (f"{mode}/t{tid}", oc.slo.tenants[tid])
-        for mode, oc in result.outcomes.items()
-        if oc.slo is not None
-        for tid in sorted(oc.slo.tenants)
-    ]
-    width = max((len(lbl) for lbl, _ in labels), default=0)
-    lines = ["-- degraded reads per tenant per window (count; '+'=10+) --"]
-    for lbl, ent in labels:
-        counts = [w.degraded for w in ent.windows]
-        lines.append(f"{lbl.ljust(width)} |{count_strip(counts)}|")
-    return dash + "\n\n" + "\n".join(lines)
-
-
 def _admission_demo(
     spec: ClusterSpec, n_nodes: int, n_jobs: int, seed: int, trace=None
 ) -> tuple[list[list], dict[str, int]]:
     """Replay a seeded arrival mix through the admission controller."""
-    env, dep, _ = _build(spec, n_nodes, seed + 1, trace=trace)
+    env, dep, _ = compare.build(spec, n_nodes, seed + 1, trace=trace)
     fleet = TenantFleet(dep, mode="weighted")
     # Undersized budget + short queue so the mix exercises every verdict
     # (degrade_ok means saturation degrades rather than rejects here;
@@ -425,14 +346,19 @@ def tenancy_isolation(
     (when set) shrinks every server's cache, which is how ``--smoke``
     keeps the same thrash regime at reduced scale.
     """
-    if n_nodes < 2:
-        raise ValueError("tenancy_isolation needs >= 2 nodes")
+    compare.require_scale("tenancy_isolation", n_nodes, 2, windows)
     overrides = dict(TENANCY_SPEC_OVERRIDES)
     if cache_fraction is not None:
         overrides["cache_fraction"] = cache_fraction
-    base = _fault_spec(spec, **overrides)
-    victim = _victim_spec(victim_files, file_size)
-    aggressor = _aggressor_spec(aggressor_files, file_size)
+    base = compare.fault_spec(spec, **overrides)
+    victim = TenantSpec(
+        tenant_id=0, name="victim", kind="inference", n_files=victim_files,
+        file_size=file_size, hot_fraction=0.8,
+    )
+    aggressor = TenantSpec(
+        tenant_id=1, name="aggressor", kind="training",
+        n_files=aggressor_files, file_size=file_size,
+    )
     result = TenancyResult(
         n_nodes=n_nodes,
         victim=victim,
@@ -449,5 +375,15 @@ def tenancy_isolation(
     result.admission_rows, result.admission_counts = _admission_demo(
         base, n_nodes, n_jobs, seed, trace=trace
     )
-    result.dashboard = _strip_dashboard(result)
+    # per-tenant degraded-read strips under each policy's storm windows
+    result.dashboard = compare.mode_dashboard(
+        result.outcomes,
+        "storm SLO windows (origin = storm onset)",
+        ("degraded reads per tenant", [
+            (f"{mode}/t{tid}", [w.degraded for w in oc.slo.tenants[tid].windows])
+            for mode, oc in result.outcomes.items()
+            if oc.slo is not None
+            for tid in sorted(oc.slo.tenants)
+        ]),
+    )
     return result

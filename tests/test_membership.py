@@ -369,14 +369,6 @@ class TestMembershipExperiment:
         assert full.degraded_fraction < det.degraded_fraction
         assert full.recovery_penalty < det.recovery_penalty
 
-    def test_render_and_artifacts(self, result, tmp_path):
-        text = result.render()
-        assert "strictly dominates detector-only" in text
-        paths = result.write_artifacts(str(tmp_path))
-        assert (tmp_path / "report.txt").exists()
-        assert (tmp_path / "transitions.log").read_text().count("->") > 0
-        assert sorted(paths) == ["report", "transitions"]
-
     def test_detection_latency_measured_in_every_mode(self, result):
         for outcome in result.outcomes.values():
             assert outcome.detect_latency == outcome.detect_latency  # not NaN

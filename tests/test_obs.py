@@ -465,16 +465,3 @@ class TestSLOScenario:
         fault_line = [l for l in strip_section.splitlines() if "crash@" in l][0]
         assert fault_line.count("|") == 2
         assert fault_line.split("|")[1].strip() != ""
-
-    def test_artifacts_written(self, result, tmp_path):
-        paths = result.write_artifacts(str(tmp_path))
-        assert (tmp_path / "dashboard.txt").exists()
-        jsonls = [p for name, p in paths.items() if name.startswith("spans[")]
-        assert len(jsonls) == 2
-        for p in jsonls:
-            first = json.loads(open(p).readline())
-            assert {"sid", "name", "t0", "t1"} <= set(first)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            slo_scenario(n_nodes=1)

@@ -24,7 +24,7 @@ import math
 import pytest
 
 from repro.core import client_key_order
-from repro.experiments.resilience import _build, _fault_spec
+from repro.experiments.compare import build, fault_spec
 from repro.experiments.tenancy import TENANCY_SPEC_OVERRIDES, tenancy_isolation
 from repro.simcore import Environment, EventTrace
 from repro.tenancy import (
@@ -131,8 +131,8 @@ class TestQuotaLedger:
 def _fleet(mode, tenants=(), n_nodes=2, seed=0, **spec_overrides):
     """A tiny 2-node fleet: 2 MB of cache per server, 4 MB fleet-wide."""
     overrides = dict(TENANCY_SPEC_OVERRIDES, cache_fraction=0.2, **spec_overrides)
-    spec = _fault_spec(None, **overrides)
-    env, dep, _pfs = _build(spec, n_nodes, seed)
+    spec = fault_spec(None, **overrides)
+    env, dep, _pfs = build(spec, n_nodes, seed)
     return env, dep, TenantFleet(dep, mode=mode, tenants=tenants)
 
 
@@ -353,13 +353,3 @@ class TestIsolationSmoke:
         assert t1.fingerprint == t2.fingerprint
         assert r1.window_log() == r2.window_log()
         assert r1.rows() == r2.rows()
-
-    def test_write_artifacts(self, tmp_path):
-        result = tenancy_isolation(**self.SMOKE)
-        paths = result.write_artifacts(str(tmp_path))
-        assert set(paths) == {"report", "windows"}
-        report = (tmp_path / "report.txt").read_text()
-        assert "weighted-fair strictly dominates" in report
-        windows = (tmp_path / "windows.log").read_text()
-        assert windows == result.window_log()
-        assert "== weighted ==" in windows
