@@ -10,7 +10,8 @@ either endpoint queue up — the contention that matters for HVAC remote
 cache reads (many clients hashing to one server).  The switch core is
 treated as non-blocking, which matches Summit's fat tree; rack-level
 oversubscription can be modelled by lowering
-``bisection_bandwidth_per_node`` (enforced as a fabric-wide token pool).
+``bisection_bandwidth_per_node`` (enforced as a fabric-wide token pool,
+which a non-blocking fabric does without).
 
 Same-node transfers model the shared-memory path: endpoint overhead plus
 a copy at ``loopback_bandwidth``.
@@ -69,12 +70,15 @@ class Fabric:
         self.metrics = metrics or MetricRegistry()
         self._tx = [_Port(env) for _ in range(n_nodes)]
         self._rx = [_Port(env) for _ in range(n_nodes)]
-        # Core capacity: a pool of "flow" tokens.  With the default
-        # non-blocking spec this is one token per possible endpoint and
-        # never binds; an oversubscribed fabric gets fewer tokens.
+        # Core capacity: a pool of "flow" tokens, built only for an
+        # oversubscribed fabric.  A flow already holds one of n_nodes TX
+        # ports, so a pool of n_nodes tokens (the non-blocking default)
+        # could never bind and would only cost a request per transfer.
         ratio = spec.bisection_bandwidth_per_node / spec.nic_bandwidth
         core_flows = max(1, int(n_nodes * min(ratio, 1.0)))
-        self._core = Resource(env, capacity=core_flows)
+        self._core = (
+            Resource(env, capacity=core_flows) if core_flows < n_nodes else None
+        )
         # Optional rack topology: per-rack uplink ports (each direction
         # a serial bandwidth server) that inter-rack flows must cross.
         self._rack_size = spec.rack_size
@@ -189,14 +193,19 @@ class Fabric:
             yield tx
             with self._rx[dst].res.request() as rx:
                 yield rx
-                with self._core.request() as flow:
-                    yield flow
+                flow = None if self._core is None else self._core.request()
+                try:
+                    if flow is not None:
+                        yield flow
                     if self._crosses_racks(src, dst):
                         yield from self._inter_rack_leg(src, dst, nbytes)
                     else:
                         yield self.env.timeout(
                             spec.link_latency + nbytes / spec.nic_bandwidth
                         )
+                finally:
+                    if flow is not None:
+                        flow.cancel()
         self.metrics.counter("fabric.remote_transfers").incr()
         self.metrics.tally("fabric.remote_bytes").add(nbytes)
         return True

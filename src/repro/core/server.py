@@ -26,7 +26,6 @@ from ..cluster import Fabric
 from ..cluster.specs import ClusterSpec
 from ..rpc import RPCEndpoint, RPCError, RPCTimeout
 from ..simcore import (
-    AllOf,
     Environment,
     Event,
     MetricRegistry,
@@ -120,10 +119,9 @@ class HVACServer:
             decompress_cost_per_byte=spec.hvac.decompress_cost_per_byte,
         )
         # Per-request process names, built once: the mover spawns a
-        # service/bulk/NVMe process per forwarded read, and rebuilding
-        # the label each time is pure hot-path allocation (PERF103).
+        # service/NVMe process per forwarded read, and rebuilding the
+        # label each time is pure hot-path allocation (PERF103).
         self._svc_name = f"hvac{server_id}.svc"
-        self._bulk_name = f"hvac{server_id}.bulk"
         self._nvme_name = f"hvac{server_id}.nvme"
         self._announce_name = f"hvac{server_id}.announce"
         self._read_seconds = self._sscope.histogram("read_seconds")
@@ -369,27 +367,20 @@ class HVACServer:
         # hits the NVMe read and the wire transfer overlap.
         if rec is not None:
             rec.annotate(sid, self.env.now, "hit", 1 if req.hit else 0)
-        bsp = None
-        if rec is not None:
             bsp = rec.begin(
                 "server.bulk", self.env.now, parent=sid, dst=src, bytes=size
             )
-        bulk = self.env.process(self._bulk_to(src, size, bsp), name=self._bulk_name)
-        waits = [bulk]
+        yield from self.endpoint.bulk_push(src, size)
+        if rec is not None:
+            rec.end(bsp, self.env.now)
         if req.read_proc is not None:
-            waits.append(req.read_proc)
-        yield AllOf(self.env, waits)
+            yield req.read_proc
         self._incr("bytes_served", size)
         # race: waive RACE201 -- histogram fold; commutative metrics aggregate
         self._read_seconds.add(self.env.now - t0)
         if rec is not None:
             rec.end(sid, self.env.now)
         return req.hit
-
-    def _bulk_to(self, dst: int, size: int, span=None) -> Generator:
-        yield from self.endpoint.bulk_push(dst, size)
-        if self.spans is not None:
-            self.spans.end(span, self.env.now)
 
     def _handle_close(self, payload: str, src: int) -> Generator:
         """Out-of-band teardown signal for a finished file (step ⑧)."""

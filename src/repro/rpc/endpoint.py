@@ -41,6 +41,20 @@ class RPCTimeout(RPCError):
     """The call did not complete within the caller's deadline."""
 
 
+def _expire(expiry: Event) -> None:
+    """Deadline callback: resolve the call's reply event (the timer's
+    value) empty, unless the reply already came."""
+    done = expiry.value
+    if not done.triggered:
+        done.succeed(None)
+
+
+def _reply(done: Event, outcome: tuple) -> None:
+    """Post ``outcome`` to the caller, unless its deadline already fired."""
+    if not done.triggered:
+        done.succeed(outcome)
+
+
 @dataclass(frozen=True)
 class BulkHandle:
     """Descriptor for an exposed remote buffer (RDMA registration)."""
@@ -98,7 +112,6 @@ class RPCEndpoint:
         # label once, not once per call (PERF103).
         self._span_names: dict[str, str] = {}
         self._serve_names: dict[str, str] = {}
-        self._handler_names: dict[str, str] = {}
         #: optional membership piggyback hooks.  ``digest_provider()``
         #: returns ``(digest, extra_bytes)`` attached to every outbound
         #: request and every reply this endpoint sends;
@@ -162,12 +175,6 @@ class RPCEndpoint:
         name = self._serve_names.get(op)
         if name is None:
             name = self._serve_names[op] = f"{self.name}.{op}"
-        return name
-
-    def _handler_name(self, op: str) -> str:
-        name = self._handler_names.get(op)
-        if name is None:
-            name = self._handler_names[op] = f"{self.name}.{op}.h"
         return name
 
     # -- client side -----------------------------------------------------
@@ -269,14 +276,13 @@ class RPCEndpoint:
             ),
             name=target._serve_name(op),
         )
-        if timeout is None:
-            outcome = yield done
-        else:
-            expiry = env.timeout(timeout)
-            result = yield done | expiry
-            if done not in result:
-                raise RPCTimeout(f"{op} on {target.name} after {timeout}s")
-            outcome = result[done]
+        if timeout is not None:
+            # The deadline resolves the reply event itself, empty; the
+            # server side posts a reply only while it is still pending.
+            env.timeout(timeout, done).callbacks.append(_expire)
+        outcome = yield done
+        if outcome is None:
+            raise RPCTimeout(f"{op} on {target.name} after {timeout}s")
         ok, value, reply_extra = outcome
         if reply_extra is not None and self.digest_sink is not None:
             self.digest_sink(reply_extra, target.node_id)
@@ -303,20 +309,17 @@ class RPCEndpoint:
             self.digest_sink(piggyback, src)
         handler = self._handlers.get(op)
         if handler is None:
-            done.succeed(
-                (False, SimulationError(f"no handler for {op!r} on {self.name}"), None)
-            )
+            err = SimulationError(f"no handler for {op!r} on {self.name}")
+            _reply(done, (False, err, None))
             return
         try:
-            value = yield self.env.process(
-                handler(payload, src), name=self._handler_name(op)
-            )
+            value = yield from handler(payload, src)
         except Exception as err:  # noqa: BLE001 — relayed to caller
-            done.succeed((False, err, None))
+            _reply(done, (False, err, None))
             return
         if not self._alive:
             # Died while serving: response is lost.
-            done.succeed((False, RPCError(f"endpoint {self.name} died"), None))
+            _reply(done, (False, RPCError(f"endpoint {self.name} died"), None))
             return
         if self._hung:
             # Hung after serving: the reply is never posted.
@@ -331,7 +334,7 @@ class RPCEndpoint:
             # Reply lost in the fabric (Mercury cancel semantics): the
             # caller sees only its deadline expire.
             return
-        done.succeed((True, value, reply_extra))
+        _reply(done, (True, value, reply_extra))
 
     # -- bulk ------------------------------------------------------------
     def bulk_pull(self, handle: BulkHandle) -> Generator:

@@ -135,7 +135,11 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL, 0.0)
+        env = self.env
+        if env._observed:
+            env._schedule(self, NORMAL, 0.0)
+        else:
+            heappush(env._queue, (env._now, NORMAL, next(env._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -187,11 +191,19 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"Negative delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Slots set directly, not through Event.__init__: a Timeout is
+        # built for every modelled delay, so the super() call and the
+        # _schedule() hop are per-event overhead when nothing observes.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        if env._observed:
+            env._schedule(self, NORMAL, delay)
+        else:
+            heappush(env._queue, (env._now + delay, NORMAL, next(env._seq), self))
 
 
 class Initialize(Event):
@@ -389,9 +401,9 @@ class Condition(Event):
 
 
 def _all_done(events: list, count: int) -> bool:
-    """AllOf evaluator, hoisted to module level: conditions are built on
-    the RPC fast path (``done | expiry``), so per-instance lambdas are a
-    per-event closure allocation (PERF102)."""
+    """AllOf evaluator, hoisted to module level: conditions are built
+    per request on hot paths, so per-instance lambdas are a per-event
+    closure allocation (PERF102)."""
     return count >= len(events)
 
 
@@ -607,13 +619,25 @@ class Environment:
 
         # Hoisted loop-invariant lookups: run() drives every experiment,
         # so the per-step overhead here multiplies by the event count.
+        # With no observer attached both loops pop and dispatch inline
+        # (the body of step() minus its observer hooks); the flag is
+        # re-read per event, so an observer attached mid-run sees every
+        # event from the next one on.
         queue = self._queue
         step = self.step
         if stop_evt is not None:
             done = []
             stop_evt.callbacks.append(done.append)
             while queue and not done:
-                step()
+                if self._observed:
+                    step()
+                    continue
+                self._now, _, _, event = heappop(queue)
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
             if done:
                 evt = done[0]
                 if not evt._ok:
@@ -623,7 +647,15 @@ class Environment:
             raise SimulationError("Event was never triggered: queue ran dry")
 
         while queue and queue[0][0] < stop_at:
-            step()
+            if self._observed:
+                step()
+                continue
+            self._now, _, _, event = heappop(queue)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
         if self._queue and stop_at != float("inf"):
             self._now = stop_at
         return None

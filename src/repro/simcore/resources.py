@@ -23,7 +23,7 @@ import itertools
 from collections import deque
 from typing import Any
 
-from .engine import Environment, Event, SimulationError
+from .engine import _PENDING, NORMAL, Environment, Event, SimulationError
 
 __all__ = ["Resource", "PriorityResource", "Preempted", "Container"]
 
@@ -34,7 +34,13 @@ class _BaseRequest(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Slots set directly, not through Event.__init__: every fabric
+        # port, NVMe slot and mover hop builds a request (see Timeout).
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
 
     def __enter__(self) -> "_BaseRequest":
@@ -98,7 +104,13 @@ class Resource:
         req = Request(self)
         if len(self.users) < self._capacity:
             self.users.append(req)
-            req.succeed()
+            # Granted on the spot: Event.succeed() inlined.
+            req._value = None
+            env = self.env
+            if env._observed:
+                env._schedule(req, NORMAL, 0.0)
+            else:
+                heapq.heappush(env._queue, (env._now, NORMAL, next(env._seq), req))
         else:
             self.queue.append(req)
         return req

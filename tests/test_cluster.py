@@ -173,11 +173,11 @@ class TestNVMeDevice:
 
 
 class TestFabric:
-    def make(self, env, n=4, bw=100.0, lat=1.0, overhead=0.0):
+    def make(self, env, n=4, bw=100.0, lat=1.0, overhead=0.0, bisection=None):
         spec = NetworkSpec(
             nic_bandwidth=bw,
             link_latency=lat,
-            bisection_bandwidth_per_node=bw,
+            bisection_bandwidth_per_node=bw if bisection is None else bisection,
             per_message_overhead=overhead,
             loopback_bandwidth=1000.0,
         )
@@ -240,6 +240,25 @@ class TestFabric:
         env.process(proc(2, 3))
         env.run()
         assert env.now == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("bisection, ends", [
+        (100.0, [2.0, 2.0, 2.0]),  # non-blocking: three disjoint flows at once
+        (50.0, [2.0, 2.0, 4.0]),  # 2 core tokens: the third flow queues
+    ])
+    def test_core_pool_binds_only_when_oversubscribed(self, bisection, ends):
+        env = Environment()
+        fab = self.make(env, bisection=bisection)
+        done = []
+
+        def proc(src, dst):
+            yield from fab.transfer(src, dst, 100)  # 2s each
+            done.append(env.now)
+
+        # distinct TX and RX ports: only the core can serialize them
+        for src, dst in ((0, 1), (1, 2), (2, 3)):
+            env.process(proc(src, dst))
+        env.run()
+        assert done == pytest.approx(ends)
 
     def test_bidirectional_full_duplex(self):
         env = Environment()

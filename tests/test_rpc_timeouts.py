@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import Fabric, NetworkSpec
 from repro.rpc import RPCEndpoint, RPCError, RPCTimeout
-from repro.simcore import Environment
+from repro.simcore import Environment, EventTrace
 
 
 def make_fabric(env, n=4):
@@ -221,3 +221,129 @@ class TestHang:
         server.hang()
         server.restart()
         assert not server.hung and server.alive
+
+
+#: when a request header sent at t=0 lands (make_fabric: zero overhead,
+#: 1 ms latency, 192 header bytes at 1 MB/s) — the deadline's origin
+REQUEST_LANDS = 0.0 + (0.001 + 192 / 1e6)
+
+
+class TestDeadlineResolvesReplyEvent:
+    """The deadline timer resolves the call's reply event itself; every
+    server-side reply is posted only while that event is pending."""
+
+    def test_expiry_after_a_completed_call_is_a_no_op(self):
+        env = Environment()
+        fab = make_fabric(env)
+        server, client = make_pair(env, fab, handler_delay=0.01)
+        caught = []
+        run_call(env, client, server, caught, timeout=0.5)
+        env.run(until=0.1)
+        assert caught[0][1] == "ok"
+        # The dead timer is still queued, holding only the reply event.
+        pending = [evt for *_, evt in env._queue]
+        assert [type(evt).__name__ for evt in pending] == ["Timeout"]
+        assert pending[0].value.processed
+        env.run()  # the timer fires into an already-answered call
+        assert env.now == REQUEST_LANDS + 0.5
+        assert len(caught) == 1 and caught[0][1] == "ok"
+
+    @pytest.mark.parametrize("outcome", ["reply", "raise", "die"])
+    def test_server_outcome_after_the_deadline_raises_nothing(self, outcome):
+        env = Environment()
+        fab = make_fabric(env)
+        server = RPCEndpoint(env, fab, node_id=1, name="srv")
+        client = RPCEndpoint(env, fab, node_id=0, name="cli")
+
+        def handler(payload, src):
+            yield env.timeout(1.0)
+            if outcome == "raise":
+                raise ValueError("late failure")
+            if outcome == "die":
+                server.shutdown()
+            return "late"
+
+        server.register("op", handler)
+        caught = []
+        run_call(env, client, server, caught, timeout=0.1)
+        env.run()  # no "already triggered" from the late server side
+        assert len(caught) == 1
+        t, err = caught[0]
+        assert isinstance(err, RPCTimeout)
+        assert t == REQUEST_LANDS + 0.1
+        assert env.now > 1.0
+
+    def test_handler_that_raises_maps_to_rpcerror(self):
+        env = Environment()
+        fab = make_fabric(env)
+        server = RPCEndpoint(env, fab, node_id=1, name="srv")
+        client = RPCEndpoint(env, fab, node_id=0, name="cli")
+
+        def handler(payload, src):
+            yield env.timeout(0.01)
+            raise KeyError("missing")
+
+        server.register("op", handler)
+        caught = []
+        run_call(env, client, server, caught, timeout=0.5)
+        env.run()
+        t, err = caught[0]
+        assert isinstance(err, RPCError) and not isinstance(err, RPCTimeout)
+        assert isinstance(err.__cause__, KeyError)
+        assert t == REQUEST_LANDS + 0.01
+
+    def test_endpoint_dying_mid_serve_maps_to_rpcerror(self):
+        env = Environment()
+        fab = make_fabric(env)
+        server = RPCEndpoint(env, fab, node_id=1, name="srv")
+        client = RPCEndpoint(env, fab, node_id=0, name="cli")
+
+        def handler(payload, src):
+            yield env.timeout(0.01)
+            server.shutdown()
+            return "lost"
+
+        server.register("op", handler)
+        caught = []
+        run_call(env, client, server, caught, timeout=0.5)
+        env.run()
+        t, err = caught[0]
+        assert isinstance(err, RPCError) and not isinstance(err, RPCTimeout)
+        assert "died" in str(err)
+        assert t == REQUEST_LANDS + 0.01
+
+    def test_endpoint_hanging_after_serving_times_out_exactly(self):
+        env = Environment()
+        fab = make_fabric(env)
+        server = RPCEndpoint(env, fab, node_id=1, name="srv")
+        client = RPCEndpoint(env, fab, node_id=0, name="cli")
+        served = []
+
+        def handler(payload, src):
+            yield env.timeout(0.01)
+            server.hang()
+            served.append(env.now)
+            return "never sent"
+
+        server.register("op", handler)
+        caught = []
+        run_call(env, client, server, caught, timeout=0.5)
+        env.run()
+        t, err = caught[0]
+        assert served and isinstance(err, RPCTimeout)
+        assert t == REQUEST_LANDS + 0.5
+
+    def test_call_trace_has_no_handler_process_or_condition(self):
+        env = Environment()
+        trace = EventTrace(keep_all=True)
+        env.attach_trace(trace)
+        fab = make_fabric(env)
+        server, client = make_pair(env, fab, handler_delay=0.01)
+        caught = []
+        run_call(env, client, server, caught, timeout=0.5)
+        env.run()
+        assert caught[0][1] == "ok"
+        labels = [r.label for r in trace.records]
+        assert "Process:srv.op" in labels  # the serving process
+        assert "Process:srv.op.h" not in labels  # the handler runs inline
+        assert "AnyOf" not in labels

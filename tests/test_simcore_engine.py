@@ -6,7 +6,9 @@ from repro.simcore import (
     AllOf,
     AnyOf,
     Environment,
+    EventTrace,
     Interrupt,
+    Resource,
     SimulationError,
     StopProcess,
 )
@@ -415,3 +417,48 @@ def test_cross_environment_event_rejected():
     env1.process(proc())
     with pytest.raises(SimulationError):
         env1.run()
+
+
+def _resource_run(trace=None, attach_at=None):
+    """Two workers contending for a capacity-1 resource; with
+    ``attach_at``, a process attaches ``trace`` at that time."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+    if trace is not None and attach_at is None:
+        env.attach_trace(trace)
+
+    def worker(i):
+        for _ in range(3):
+            with res.request() as req:
+                yield req
+                yield env.timeout(0.5 + i)
+            log.append((env.now, i))
+
+    def attacher():
+        yield env.timeout(attach_at)
+        env.attach_trace(trace)
+
+    for i in range(2):
+        env.process(worker(i), name=f"w{i}")
+    if attach_at is not None:
+        env.process(attacher(), name="attach")
+    env.run()
+    return log
+
+
+def test_observed_and_unobserved_runs_agree():
+    # The unobserved fast path must build the same heap as _schedule.
+    trace = EventTrace()
+    assert _resource_run() == _resource_run(trace)
+    assert trace.count > 0
+
+
+def test_observer_attached_mid_run_sees_every_later_event():
+    full = EventTrace(keep_all=True)
+    _resource_run(full)
+    late = EventTrace(keep_all=True)
+    _resource_run(late, attach_at=1.0)
+    later = [(r.time, r.label) for r in full.records if r.time > 1.0]
+    seen = [(r.time, r.label) for r in late.records if r.time > 1.0]
+    assert seen == later and later
