@@ -28,6 +28,8 @@ Three layers, all runnable from the CLI and from tests:
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 from .divergence import DivergenceReport, find_first_divergence, fingerprint_run
 from .linter import (
@@ -219,6 +221,48 @@ def _epochs_run(seed: int, n_nodes: int, files_per_rank: int):
     return run
 
 
+#: interpreter hash seeds the determinism check also replays under;
+#: string hashing, and with it set iteration order, differs between them
+HASH_SEEDS = ("0", "12345")
+
+
+def _hash_seed_fingerprints(
+    seed: int, n_nodes: int, files_per_rank: int
+) -> dict[str, str]:
+    """Replay the epochs run in one child interpreter per
+    :data:`HASH_SEEDS` value, concurrently: ``PYTHONHASHSEED`` ->
+    ``"<events> <fingerprint>"``, or the child's error."""
+    src_root = os.path.dirname(default_lint_roots()[0])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "from repro.check import _epochs_run, fingerprint_run\n"
+        f"t = fingerprint_run(_epochs_run({seed}, {n_nodes}, {files_per_rank}))\n"
+        "print(t.count, t.fingerprint)\n"
+    )
+    children = {
+        h: subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=dict(env, PYTHONHASHSEED=h),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for h in HASH_SEEDS
+    }
+    out: dict[str, str] = {}
+    for h, child in children.items():
+        stdout, stderr = child.communicate()
+        if child.returncode == 0:
+            out[h] = stdout.strip()
+        else:
+            lines = stderr.strip().splitlines() or [f"exit {child.returncode}"]
+            out[h] = f"child failed: {lines[-1]}"
+    return out
+
+
 def run_determinism(
     seed: int = 0,
     n_nodes: int = 2,
@@ -226,21 +270,35 @@ def run_determinism(
     block: int = 2048,
     verbose: bool = True,
 ) -> int:
-    """Run the epochs experiment twice with one seed; compare fingerprints."""
+    """Run the epochs experiment twice with one seed and compare
+    fingerprints; then replay it in child interpreters under every
+    :data:`HASH_SEEDS` value, which must reproduce the same stream."""
     run = _epochs_run(seed, n_nodes, files_per_rank)
     a = fingerprint_run(run, checkpoint_every=block)
     b = fingerprint_run(run, checkpoint_every=block)
     report = find_first_divergence(run, block=block, traces=(a, b))
-    if report is None:
-        if verbose:
-            print(
-                f"determinism: OK — two seed={seed} runs produced identical "
-                f"event streams ({a.count} events, fingerprint {a.fingerprint})"
-            )
-        return 0
-    print(f"determinism: FAILED (seed={seed})")
-    print(report.describe())
-    return 1
+    if report is not None:
+        print(f"determinism: FAILED (seed={seed})")
+        print(report.describe())
+        return 1
+    expected = f"{a.count} {a.fingerprint}"
+    replays = _hash_seed_fingerprints(seed, n_nodes, files_per_rank)
+    diverged = {h: got for h, got in replays.items() if got != expected}
+    if diverged:
+        print(
+            f"determinism: FAILED (seed={seed}) — the event stream depends "
+            "on the interpreter's hash seed"
+        )
+        print(f"  in-process: {expected}")
+        for h, got in diverged.items():
+            print(f"  PYTHONHASHSEED={h}: {got}")
+        return 1
+    if verbose:
+        print(
+            f"determinism: OK — two seed={seed} runs produced identical "
+            f"event streams ({a.count} events, fingerprint {a.fingerprint})"
+        )
+    return 0
 
 
 def run_races(

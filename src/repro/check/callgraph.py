@@ -31,7 +31,6 @@ typing), and ``obj.method()`` on an unknown object is skipped.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 
 from .rules import (
@@ -39,9 +38,19 @@ from .rules import (
     _RNG_CONSTRUCT,
     _RNG_GLOBAL_DRAW,
     _WALL_CLOCK,
+    SetOrderWalker,
+    module_name_for,
+    qualified_name,
 )
 
-__all__ = ["CallGraph", "CallSite", "FunctionInfo", "TaintSource", "module_name_for"]
+__all__ = [
+    "CallGraph",
+    "CallSite",
+    "FunctionInfo",
+    "TaintSource",
+    "module_matches",
+    "module_name_for",
+]
 
 #: maximum re-export hops followed when resolving ``from pkg import name``
 _REEXPORT_DEPTH = 3
@@ -92,101 +101,31 @@ class FunctionInfo:
     #: after the fixpoint in :mod:`.taint`, delegates to one that does)
 
 
-def module_name_for(path: str) -> str:
-    """A dotted module name derived from the file path.
+def module_matches(module: str, suffixes: tuple[str, ...]) -> bool:
+    """Is ``module`` one of ``suffixes``, or a module ending in one?"""
+    return any(module == s or module.endswith("." + s) for s in suffixes)
 
-    Only used for *suffix* matching during import resolution, so the
-    leading directories (``src``, a tmp dir, ...) are harmless.
+
+class _ModuleScanner(SetOrderWalker):
+    """Extract :class:`FunctionInfo` records from one parsed module.
+
+    Import aliases and set bindings come from the shared
+    :class:`.rules.SetOrderWalker`, so a name simlint treats as a set
+    is exactly the name this scanner treats as a taint source.
     """
-    norm = os.path.normpath(path)
-    if norm.endswith(".py"):
-        norm = norm[:-3]
-    parts = [p for p in norm.split(os.sep) if p not in ("", ".", "..")]
-    return ".".join(parts)
-
-
-class _ModuleScanner(ast.NodeVisitor):
-    """Extract :class:`FunctionInfo` records from one parsed module."""
 
     def __init__(self, module: str, path: str, scope: str, waived):
-        self.module = module
+        super().__init__(module)
         self.path = path
         self.scope = scope
         self._waived = waived  # callable (line, rule) -> bool
         self.functions: dict[str, FunctionInfo] = {}
-        self.imports: dict[str, str] = {}  # alias -> dotted target
-        self._set_names: set[str] = set()
         self._class_stack: list[str] = []
         self._func_stack: list[FunctionInfo] = []
         self._nested_depth = 0  # inside a nested def: returns belong to it
         self._return_calls: set[int] = set()  # id()s of return-position Calls
         self._yield_calls: set[int] = set()  # id()s of yield-from delegate Calls
         self._iterated_calls: set[int] = set()  # id()s of for/comp-iter Calls
-
-    # -- import tracking (same alias model as rules._SimVisitor) ----------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.imports[alias.asname or alias.name.split(".")[0]] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = node.module or ""
-        if node.level:  # relative import: anchor on this module's package
-            parts = self.module.split(".")
-            # level 1 = this package (strip the module filename only)
-            anchor = parts[: len(parts) - node.level]
-            base = ".".join(anchor + ([node.module] if node.module else []))
-        for alias in node.names:
-            if base and alias.name != "*":
-                self.imports[alias.asname or alias.name] = f"{base}.{alias.name}"
-        self.generic_visit(node)
-
-    # -- set tracking (mirrors rules._SimVisitor) --------------------------
-    @staticmethod
-    def _bound_name(target: ast.expr) -> str | None:
-        if isinstance(target, ast.Name):
-            return target.id
-        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-            return target.attr
-        return None
-
-    def _is_set_expr(self, node: ast.expr | None) -> bool:
-        if node is None:
-            return False
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
-        ):
-            return True
-        name = (
-            self._bound_name(node)
-            if isinstance(node, (ast.Name, ast.Attribute))
-            else None
-        )
-        return name is not None and name in self._set_names
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            name = self._bound_name(target)
-            if name is not None:
-                if self._is_set_expr(node.value):
-                    self._set_names.add(name)
-                else:
-                    self._set_names.discard(name)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        name = self._bound_name(node.target)
-        if name is not None:
-            ann = ast.unparse(node.annotation).split("[")[0]
-            if self._is_set_expr(node.value) or ann in (
-                "set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet",
-            ):
-                self._set_names.add(name)
-        self.generic_visit(node)
 
     # -- function / class structure ----------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -224,16 +163,6 @@ class _ModuleScanner(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
 
     # -- primitives and call sites -----------------------------------------
-    def _qualname(self, node: ast.expr) -> str | None:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(self.imports.get(node.id, node.id))
-            return ".".join(reversed(parts))
-        return None
-
     def _source(self, rule: str, kind: str, node: ast.AST) -> None:
         if not self._func_stack:
             return  # module-level code: nothing to taint through
@@ -244,13 +173,16 @@ class _ModuleScanner(ast.NodeVisitor):
     #: wrappers that pass their argument's order through to the loop
     _ORDER_PRESERVING = ("list", "tuple", "iter", "enumerate", "reversed")
 
-    def _check_iteration(self, iter_node: ast.expr) -> None:
-        if not self._func_stack:
+    def iterated(self, iter_node: ast.expr, target: ast.expr | None) -> None:
+        # Loops and comprehensions only: the taint pass leaves the
+        # order-fixing call arguments (``list(s)``, ``max(s)``) to the
+        # per-function rules.
+        if not self._func_stack or target is None:
             return
         info = self._func_stack[-1]
         if isinstance(iter_node, ast.Name) and iter_node.id in info.params:
             info.iterated_params.add(iter_node.id)
-        elif self._is_set_expr(iter_node):
+        elif self.sets.holds(iter_node):
             self._source("SIM004", "unordered-set iteration", iter_node)
         # SIM013: mark call results that feed the loop, unwrapping
         # order-preserving shims (``sorted(f())`` neutralizes and is
@@ -266,10 +198,6 @@ class _ModuleScanner(ast.NodeVisitor):
         if isinstance(node, ast.Call):
             self._iterated_calls.add(id(node))
 
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iteration(node.iter)
-        self.generic_visit(node)
-
     def visit_Return(self, node: ast.Return) -> None:
         # SIM013 bookkeeping: a function that returns a set expression
         # hands unordered iteration order to every caller; one that
@@ -280,7 +208,7 @@ class _ModuleScanner(ast.NodeVisitor):
             info = self._func_stack[-1]
             if self._waived(node.lineno, "SIM013"):
                 pass  # sanctioned producer: never a SIM013 source
-            elif self._is_set_expr(node.value):
+            elif self.sets.holds(node.value):
                 info.returns_unordered = True
             elif isinstance(node.value, ast.Call):
                 self._return_calls.add(id(node.value))
@@ -306,22 +234,19 @@ class _ModuleScanner(ast.NodeVisitor):
                 value = value.args[0]
             if self._waived(node.lineno, "SIM014"):
                 pass  # sanctioned producer: never a SIM014 source
-            elif self._is_set_expr(value):
+            elif self.sets.holds(value):
                 info.yields_unordered = True
             elif isinstance(value, ast.Call):
                 self._yield_calls.add(id(value))
         self.generic_visit(node)
 
-    def _visit_comp(self, node) -> None:
-        for gen in node.generators:
-            self._check_iteration(gen.iter)
-        self.generic_visit(node)
-
-    visit_ListComp = visit_SetComp = visit_GeneratorExp = visit_DictComp = _visit_comp
-
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        qual = self._qualname(func) if isinstance(func, (ast.Attribute, ast.Name)) else None
+        qual = (
+            qualified_name(self.imports, func)
+            if isinstance(func, (ast.Attribute, ast.Name))
+            else None
+        )
         if qual is not None:
             if qual in _WALL_CLOCK:
                 self._source("SIM001", f"wall-clock read {qual}", node)
@@ -332,7 +257,7 @@ class _ModuleScanner(ast.NodeVisitor):
         if isinstance(func, ast.Name) and func.id == "hash":
             self._source("SIM003", "salted builtin hash()", node)
         self._record_call(node)
-        self.generic_visit(node)
+        super().visit_Call(node)
 
     def _record_call(self, node: ast.Call) -> None:
         if not self._func_stack:
@@ -361,7 +286,7 @@ class _ModuleScanner(ast.NodeVisitor):
         if ref is None:
             return
         set_args = tuple(
-            i for i, a in enumerate(node.args) if self._is_set_expr(a)
+            i for i, a in enumerate(node.args) if self.sets.holds(a)
         )
         param_args = tuple(
             (i, a.id)

@@ -55,7 +55,7 @@ import ast
 import re
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, module_name_for
+from .callgraph import CallGraph, module_matches, module_name_for
 from .cell_registry import (
     DECLARED_CELLS,
     CellDecl,
@@ -67,8 +67,9 @@ from .cell_registry import (
 from .linter import (
     StaleWaiver,
     _apply_waivers,
-    _iter_python_files,
     _waiver_comment_lines,
+    no_waiver,
+    read_sources,
     scope_of,
 )
 from .rules import Violation
@@ -114,10 +115,6 @@ _MUTATORS = {
 #: module parts exempt from write collection: the kernel's own
 #: bookkeeping is serialized by the event loop itself
 _KERNEL_PARTS = {"simcore"}
-
-
-def _matches(module: str, suffixes: tuple[str, ...]) -> bool:
-    return any(module == s or module.endswith("." + s) for s in suffixes)
 
 
 def _is_kernel(module: str) -> bool:
@@ -429,10 +426,6 @@ class CellAudit:
         return not self.violations and not self.stale_waivers
 
 
-def _no_waiver(line: int, rule: str) -> bool:
-    return False
-
-
 def _closure(graph: CallGraph, root: str) -> list[str]:
     seen = {root}
     frontier = [root]
@@ -454,7 +447,7 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
         parsed.append((path, source, ast.parse(source, filename=path)))
 
     graph = CallGraph.build(
-        (path, tree, scope_of(path), _no_waiver) for path, _, tree in parsed
+        (path, tree, scope_of(path), no_waiver) for path, _, tree in parsed
     )
 
     writes: list[_Write] = []
@@ -472,7 +465,7 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
 
     # Registry declarations are in scope when their component is.
     for decl in DECLARED_CELLS:
-        if any(_matches(m, (decl.component,)) for m in graph.modules):
+        if any(module_matches(m, (decl.component,)) for m in graph.modules):
             decls.append(decl)
 
     note_sites = extract_note_sites((p, t) for p, _, t in parsed)
@@ -517,7 +510,7 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
             (
                 d
                 for d in decls
-                if w.attr in d.attrs and _matches(w.module, (d.component,))
+                if w.attr in d.attrs and module_matches(w.module, (d.component,))
             ),
             None,
         )
@@ -563,7 +556,7 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
                 (
                     p
                     for m, p in sorted(path_of_module.items())
-                    if _matches(m, (decl.component,))
+                    if module_matches(m, (decl.component,))
                 ),
                 decl.path,
             )
@@ -654,12 +647,7 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
 
 def audit_tree(paths: list[str]) -> CellAudit:
     """Audit every ``.py`` file under the given files/directories."""
-    files: list[tuple[str, str]] = []
-    for root in paths:
-        for path in _iter_python_files(root):
-            with open(path, encoding="utf-8") as fh:
-                files.append((path, fh.read()))
-    return audit_files(files)
+    return audit_files(read_sources(paths))
 
 
 def audit_source(source: str, path: str = "<string>") -> list[Violation]:

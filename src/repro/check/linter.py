@@ -37,6 +37,8 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "lint_tree",
+    "no_waiver",
+    "read_sources",
     "scope_of",
     "waived_at",
 ]
@@ -97,6 +99,12 @@ def _waiver_line_for(
         if codes is not None and ("*" in codes or rule in codes):
             return lineno
     return None
+
+
+def no_waiver(line: int, rule: str) -> bool:
+    """The ``waived`` callable for passes that consume no simlint
+    waivers: every primitive counts."""
+    return False
 
 
 def waived_at(lines: list[str], line: int, rule: str) -> bool:
@@ -195,6 +203,17 @@ def _iter_python_files(root: str) -> Iterator[str]:
                 yield os.path.join(dirpath, name)
 
 
+def read_sources(paths: Iterable[str]) -> list[tuple[str, str]]:
+    """``(path, source)`` for every ``.py`` file under the given
+    files/directories, in a stable walk order."""
+    files: list[tuple[str, str]] = []
+    for root in paths:
+        for path in _iter_python_files(root):
+            with open(path, encoding="utf-8") as fh:
+                files.append((path, fh.read()))
+    return files
+
+
 @dataclass(frozen=True)
 class StaleWaiver:
     """An inline waiver that no longer suppresses anything."""
@@ -242,12 +261,7 @@ def lint_tree(
     if unknown:
         raise ValueError(f"unknown rule codes: {sorted(unknown)}")
 
-    files: list[tuple[str, str]] = []
-    for root in paths:
-        for path in _iter_python_files(root):
-            with open(path, encoding="utf-8") as fh:
-                files.append((path, fh.read()))
-
+    files = read_sources(paths)
     per_file: dict[str, list[Violation]] = {path: [] for path, _ in files}
     for path, source in files:
         tree = ast.parse(source, filename=path)

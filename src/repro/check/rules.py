@@ -40,6 +40,13 @@ SIM016    ``set`` carried in a dataclass/namedtuple *field* and later
           arguments, positional unpacking)
 ========  ============================================================
 
+The set-order rules (SIM004, SIM008, SIM010, SIM012, SIM015, SIM016)
+are one analysis.  A single walk (:class:`SetOrderWalker`, shared with
+the call-graph scanner behind SIM011/SIM013/SIM014) tracks set bindings
+in textual order and visits every order-fixing site; at each site one
+provenance question decides which rule, if any, the iterated expression
+breaks, with SIM004 taking precedence.
+
 The rules are deliberately heuristic: they aim at the handful of
 patterns that actually corrupt replay determinism, and anything flagged
 in error can be waived inline with ``# simlint: waive SIMxxx -- why``.
@@ -48,6 +55,7 @@ in error can be waived inline with ``# simlint: waive SIMxxx -- why``.
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -184,431 +192,91 @@ def _root_name(node: ast.expr) -> str | None:
     return None
 
 
-class _SimVisitor(ast.NodeVisitor):
-    """One file's worth of rule checks."""
+# ---------------------------------------------------------------------------
+# the front end shared with the call-graph scanner (:mod:`.callgraph`)
+# ---------------------------------------------------------------------------
 
-    def __init__(self, path: str, scope: str, active: set[str]):
-        self.path = path
-        self.scope = scope  # "sim" | "runtime"
-        self.active = active
-        self.violations: list[Violation] = []
-        #: local alias -> canonical module ("np" -> "numpy")
-        self._imports: dict[str, str] = {}
-        #: names / self-attributes known to be bound to sets
-        self._set_names: set[str] = set()
-        #: stack of (function node, is_generator)
-        self._funcs: list[tuple[ast.AST, bool]] = []
-        #: nesting depth of loops/comprehensions iterating a set (SIM010)
-        self._set_iter_depth = 0
+def module_name_for(path: str) -> str:
+    """A dotted module name derived from the file path.
 
-    # -- plumbing ---------------------------------------------------------
-    def _emit(self, rule: str, node: ast.AST, message: str | None = None) -> None:
-        if rule not in self.active:
-            return
-        self.violations.append(
-            Violation(
-                rule,
-                self.path,
-                getattr(node, "lineno", 0),
-                getattr(node, "col_offset", 0),
-                message or RULES[rule],
-            )
-        )
-
-    def _qualname(self, node: ast.expr) -> str | None:
-        """Dotted name of a call target with import aliases resolved.
-
-        ``np.random.default_rng`` -> ``numpy.random.default_rng``;
-        ``__import__("random").Random`` -> ``random.Random``.
-        """
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(self._imports.get(node.id, node.id))
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "__import__"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            parts.append(node.args[0].value)
-        else:
-            return None
-        return ".".join(reversed(parts))
-
-    # -- import tracking --------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self._imports[alias.asname or alias.name.split(".")[0]] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for alias in node.names:
-            if node.module:
-                self._imports[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-        self.generic_visit(node)
-
-    # -- set-binding tracking (SIM004) ------------------------------------
-    @staticmethod
-    def _bound_name(target: ast.expr) -> str | None:
-        """``x`` or ``self.x`` assignment targets, keyed by bare name."""
-        if isinstance(target, ast.Name):
-            return target.id
-        if isinstance(target, ast.Attribute) and isinstance(
-            target.value, ast.Name
-        ):
-            return target.attr
-        return None
-
-    def _is_set_expr(self, node: ast.expr | None) -> bool:
-        if node is None:
-            return False
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
-        ):
-            return True
-        name = self._bound_name(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
-        return name is not None and name in self._set_names
-
-    def _note_binding(self, target: ast.expr, value: ast.expr | None,
-                      annotation: ast.expr | None = None) -> None:
-        name = self._bound_name(target)
-        if name is None:
-            return
-        is_set = self._is_set_expr(value)
-        if annotation is not None:
-            ann = ast.unparse(annotation)
-            is_set = is_set or ann.split("[")[0] in (
-                "set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet"
-            )
-        if is_set:
-            self._set_names.add(name)
-        elif value is not None:
-            self._set_names.discard(name)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._note_binding(target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._note_binding(node.target, node.value, node.annotation)
-        self.generic_visit(node)
-
-    # -- iteration contexts (SIM004) ---------------------------------------
-    def _check_iteration(self, iter_node: ast.expr) -> None:
-        if self._is_set_expr(iter_node):
-            self._emit("SIM004", iter_node)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iteration(node.iter)
-        if self._is_set_expr(node.iter):
-            self._set_iter_depth += 1
-            self.generic_visit(node)
-            self._set_iter_depth -= 1
-        else:
-            self.generic_visit(node)
-
-    def _visit_comp(self, node) -> None:
-        over_set = False
-        for gen in node.generators:
-            self._check_iteration(gen.iter)
-            over_set = over_set or self._is_set_expr(gen.iter)
-        if over_set:
-            self._set_iter_depth += 1
-            self.generic_visit(node)
-            self._set_iter_depth -= 1
-        else:
-            self.generic_visit(node)
-
-    visit_ListComp = visit_SetComp = visit_GeneratorExp = _visit_comp
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        if self._is_id_call(node.key):
-            self._emit("SIM009", node)
-        self._visit_comp(node)
-
-    # -- id()-keyed dicts (SIM009) ------------------------------------------
-    @staticmethod
-    def _is_id_call(node: ast.expr) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "id"
-        )
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        # d[id(x)] — reads and writes alike seed an address-keyed table;
-        # id(x) in a *set* (pure membership, never iterated for order)
-        # stays legal, which is why the rule keys on subscripts.
-        if self._is_id_call(node.slice):
-            self._emit("SIM009", node)
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        if any(key is not None and self._is_id_call(key) for key in node.keys):
-            self._emit("SIM009", node)
-        self.generic_visit(node)
-
-    # -- function context (SIM005/SIM007) ----------------------------------
-    @staticmethod
-    def _is_generator(node) -> bool:
-        """Does this function contain a yield of its own (ignoring
-        nested defs/lambdas)?"""
-        stack = list(ast.iter_child_nodes(node))
-        while stack:
-            child = stack.pop()
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, (ast.Yield, ast.YieldFrom)):
-                return True
-            stack.extend(ast.iter_child_nodes(child))
-        return False
-
-    def _visit_func(self, node) -> None:
-        self._funcs.append((node, self._is_generator(node)))
-        self.generic_visit(node)
-        self._funcs.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
-
-    @property
-    def _in_generator(self) -> bool:
-        return bool(self._funcs) and self._funcs[-1][1]
-
-    # -- statement-level (SIM005) -------------------------------------------
-    def visit_Expr(self, node: ast.Expr) -> None:
-        value = node.value
-        if self._in_generator and isinstance(value, ast.Call):
-            func = value.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _EVENT_FACTORIES
-                and (_root_name(func.value) or "").endswith("env")
-            ) or (
-                isinstance(func, ast.Name)
-                and func.id in ("Timeout", "AllOf", "AnyOf")
-            ):
-                self._emit("SIM005", node)
-        self.generic_visit(node)
-
-    # -- comparisons (SIM006) ------------------------------------------------
-    @staticmethod
-    def _is_sim_clock(node: ast.expr) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr == "now"
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for op, (lhs, rhs) in zip(node.ops, zip(operands, operands[1:])):
-            if isinstance(op, (ast.Eq, ast.NotEq)) and (
-                self._is_sim_clock(lhs) or self._is_sim_clock(rhs)
-            ):
-                self._emit("SIM006", node)
-                break
-        self.generic_visit(node)
-
-    # -- calls (SIM001/002/003/007) -------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        qual = self._qualname(node.func)
-        if qual is not None:
-            if self.scope == "sim" and qual in _WALL_CLOCK:
-                self._emit("SIM001", node)
-            if qual in _RNG_CONSTRUCT:
-                self._emit("SIM002", node)
-            elif qual in _RNG_GLOBAL_DRAW:
-                self._emit(
-                    "SIM002", node,
-                    RULES["SIM002"] + " (module-global RNG state)",
-                )
-            if self.scope == "sim" and qual in _BLOCKING:
-                self._emit("SIM007", node)
-        if isinstance(node.func, ast.Name) and node.func.id == "hash":
-            self._emit("SIM003", node)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "tuple", "iter", "enumerate", "max", "min")
-            and node.args
-        ):
-            # materializing/iterating a set fixes its (unordered) order
-            self._check_iteration(node.args[0])
-        if node.args and self._is_set_expr(node.args[0]) and (
-            (isinstance(node.func, ast.Name) and node.func.id == "sum")
-            or qual in _FLOAT_REDUCERS
-        ):
-            # accumulation order over a set is the hash order; float
-            # addition is non-associative, so the total drifts with it
-            self._emit("SIM008", node)
-        if (
-            self.scope == "sim"
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "join"
-            and not node.args
-            and all(kw.arg == "timeout" for kw in node.keywords)
-        ):
-            # str.join always takes a positional iterable; a bare
-            # .join() / .join(timeout=...) is a thread join.
-            self._emit("SIM007", node, RULES["SIM007"] + " (thread join)")
-        if self._set_iter_depth > 0 and self._is_scheduling_call(node):
-            # the set's hash order becomes the callback/trigger/spawn
-            # order, i.e. the kernel's same-timestamp tie-break order
-            self._emit("SIM010", node)
-        self.generic_visit(node)
-
-    @staticmethod
-    def _is_scheduling_call(node: ast.Call) -> bool:
-        """Calls that feed the event queue: triggering an event,
-        registering a callback, or spawning a process."""
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        if func.attr in ("succeed", "fail", "trigger", "interrupt"):
-            return True
-        if (
-            func.attr == "append"
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "callbacks"
-        ):
-            return True
-        return func.attr == "process" and (
-            (_root_name(func.value) or "").endswith("env")
-        )
-
-
-#: iteration-fixing callables SIM012 shares with the sequential rule
-_ITER_CALLS = ("list", "tuple", "iter", "enumerate", "max", "min")
-
-
-class _ClassSetVisitor(ast.NodeVisitor):
-    """SIM012: container-membership taint across methods of one class.
-
-    The sequential tracker in :class:`_SimVisitor` follows ``self.x``
-    by bare name in *textual* order, so a set bound in ``reset()`` and
-    iterated in an ``order()`` method defined above it slips through.
-    This pass is class-aware and two-phase: first collect every
-    attribute a class ever binds to a set (skipping attributes that are
-    *also* bound to non-set values — those the sequential tracker's
-    last-binding-wins rule handles more precisely), then flag any
-    iteration of such an attribute in a method other than a binding
-    one.  Sites the sequential rule already reports are deduped by the
-    caller, so SIM012 is exactly the cross-method complement of SIM004.
+    Only used for *suffix* matching and relative-import anchoring, so
+    the leading directories (``src``, a tmp dir, ...) are harmless.
     """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.violations: list[Violation] = []
-
-    @staticmethod
-    def _self_name(method) -> str | None:
-        args = method.args.posonlyargs + method.args.args
-        return args[0].arg if args else None
-
-    @staticmethod
-    def _is_set_value(value: ast.expr | None, annotation: ast.expr | None) -> bool:
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return True
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in ("set", "frozenset")
-        ):
-            return True
-        if annotation is not None:
-            ann = ast.unparse(annotation)
-            return ann.split("[")[0] in (
-                "set", "Set", "frozenset", "FrozenSet", "AbstractSet",
-                "MutableSet",
-            )
-        return False
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        methods = [
-            m for m in node.body
-            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        #: attr -> method names that bind it to a set
-        set_attrs: dict[str, set[str]] = {}
-        non_set: set[str] = set()
-        for method in methods:
-            self_name = self._self_name(method)
-            if self_name is None:
-                continue
-            for sub in ast.walk(method):
-                if isinstance(sub, ast.Assign):
-                    targets, value, ann = sub.targets, sub.value, None
-                elif isinstance(sub, ast.AnnAssign):
-                    targets, value, ann = [sub.target], sub.value, sub.annotation
-                else:
-                    continue
-                for target in targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == self_name
-                    ):
-                        continue
-                    if self._is_set_value(value, ann):
-                        set_attrs.setdefault(target.attr, set()).add(method.name)
-                    elif value is not None:
-                        non_set.add(target.attr)
-        flaggable = {
-            attr: binders for attr, binders in set_attrs.items()
-            if attr not in non_set
-        }
-        for method in methods:
-            self_name = self._self_name(method)
-            if self_name is None or not flaggable:
-                continue
-            for sub in ast.walk(method):
-                for it in self._iterated(sub):
-                    if not (
-                        isinstance(it, ast.Attribute)
-                        and isinstance(it.value, ast.Name)
-                        and it.value.id == self_name
-                    ):
-                        continue
-                    binders = flaggable.get(it.attr)
-                    if binders and binders != {method.name}:
-                        self.violations.append(
-                            Violation(
-                                "SIM012", self.path,
-                                it.lineno, it.col_offset,
-                                RULES["SIM012"]
-                                + f" (self.{it.attr} is bound in "
-                                f"{', '.join(sorted(binders))}())",
-                            )
-                        )
-        self.generic_visit(node)  # nested classes
-
-    @staticmethod
-    def _iterated(node: ast.AST) -> list[ast.expr]:
-        """Expressions ``node`` iterates in an order-fixing way."""
-        if isinstance(node, ast.For):
-            return [node.iter]
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-                             ast.DictComp)):
-            return [gen.iter for gen in node.generators]
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _ITER_CALLS
-            and node.args
-        ):
-            return [node.args[0]]
-        return []
+    norm = os.path.normpath(path)
+    if norm.endswith(".py"):
+        norm = norm[:-3]
+    parts = [p for p in norm.split(os.sep) if p not in ("", ".", "..")]
+    return ".".join(parts)
 
 
-def _is_set_expr(value: ast.expr | None) -> bool:
-    """Literal/constructor expressions that produce an unordered set."""
+def record_import(
+    imports: dict[str, str], module: str, node: ast.Import | ast.ImportFrom
+) -> None:
+    """Fold one import statement into ``imports`` (local alias ->
+    dotted target); relative imports anchor on ``module``'s package."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            imports[alias.asname or alias.name.split(".")[0]] = alias.name
+        return
+    base = node.module or ""
+    if node.level:  # level 1 = this package (strip the module filename only)
+        parts = module.split(".")
+        anchor = parts[: len(parts) - node.level]
+        base = ".".join(anchor + ([node.module] if node.module else []))
+    for alias in node.names:
+        if base and alias.name != "*":
+            imports[alias.asname or alias.name] = f"{base}.{alias.name}"
+
+
+def qualified_name(imports: dict[str, str], node: ast.expr) -> str | None:
+    """Dotted name of a call target with import aliases resolved.
+
+    ``np.random.default_rng`` -> ``numpy.random.default_rng``;
+    ``__import__("random").Random`` -> ``random.Random``.
+    """
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(imports.get(node.id, node.id))
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "__import__"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ):
+        parts.append(node.args[0].value)
+    else:
+        return None
+    return ".".join(reversed(parts))
+
+
+#: annotation heads that denote an unordered set type
+_SET_ANNOTATIONS = (
+    "set", "frozenset", "Set", "FrozenSet", "MutableSet", "AbstractSet",
+)
+
+
+def is_set_annotation(ann: ast.expr | None) -> bool:
+    """``set``, ``typing.Set[str]``, ``"FrozenSet[int]"`` and friends."""
+    if isinstance(ann, ast.Name):
+        return ann.id in _SET_ANNOTATIONS
+    if isinstance(ann, ast.Attribute):
+        return ann.attr in _SET_ANNOTATIONS
+    if isinstance(ann, ast.Subscript):
+        return is_set_annotation(ann.value)
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        head = ann.value.split("[", 1)[0].strip()
+        return head.rsplit(".", 1)[-1] in _SET_ANNOTATIONS
+    return False
+
+
+def is_set_expr(value: ast.expr | None) -> bool:
+    """Literal/comprehension/constructor expressions that produce an
+    unordered set."""
     if isinstance(value, (ast.Set, ast.SetComp)):
         return True
     return (
@@ -618,176 +286,110 @@ def _is_set_expr(value: ast.expr | None) -> bool:
     )
 
 
-def _container_with_set_elements(value: ast.expr | None) -> bool:
-    if isinstance(value, (ast.List, ast.Tuple)):
-        return any(_is_set_expr(e) for e in value.elts)
-    if isinstance(value, ast.Dict):
-        return any(v is not None and _is_set_expr(v) for v in value.values)
-    return False
+def _bound_name(target: ast.expr) -> str | None:
+    """``x`` or ``obj.x`` binding targets, keyed by bare name."""
+    if isinstance(target, ast.Name):
+        return target.id
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+        return target.attr
+    return None
 
 
-class _ElementSetVisitor(ast.NodeVisitor):
-    """SIM015: unordered taint carried by container *elements*.
+class SetBindings:
+    """Which bare names and ``obj.`` attributes currently hold a set.
 
-    The sequential tracker (SIM004) and its cross-method (SIM012),
-    cross-return (SIM013), and cross-yield (SIM014) extensions all
-    follow sets by the *name* they are bound to.  A set dropped into a
-    list or dict slot has no name: ``groups.append({a, b})`` launders
-    the taint through an ordered container, and the later
-    ``for g in groups: for x in g`` iterates hash order with every
-    name-based pass blind.  Two phases: collect every bare-name
-    container that ever holds a set-valued element (literal elements,
-    ``append``/``insert``/``setdefault``, keyed assignment), then flag
-    order-fixing iteration over those containers' *elements* — a loop
-    variable drawn from the container, or a direct subscript.
-    ``sorted(...)`` stays exempt, as everywhere in the linter.
+    Flow-sensitive in textual order across the whole module, last
+    binding wins: a set value or a set annotation binds, any other
+    value unbinds, and an annotation without a value of another type
+    leaves the binding alone.
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self.violations: list[Violation] = []
-        self._tainted: set[str] = set()
-        #: live element aliases (loop vars drawn from a tainted
-        #: container) -> the container they came from
-        self._aliases: dict[str, str] = {}
+    __slots__ = ("names",)
 
-    # -- phase 1 ------------------------------------------------------------
-    def collect(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                value = node.value
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and _container_with_set_elements(value)
-                    ):
-                        self._tainted.add(target.id)
-                    elif (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and _is_set_expr(value)
-                    ):
-                        self._tainted.add(target.value.id)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.args
-            ):
-                attr, args = node.func.attr, node.args
-                if (
-                    (attr == "append" and _is_set_expr(args[0]))
-                    or (attr == "insert" and len(args) >= 2
-                        and _is_set_expr(args[1]))
-                    or (attr == "setdefault" and len(args) >= 2
-                        and _is_set_expr(args[1]))
-                ):
-                    self._tainted.add(node.func.value.id)
+    def __init__(self):
+        self.names: set[str] = set()
 
-    # -- phase 2 ------------------------------------------------------------
-    def _element_source(self, expr: ast.expr) -> str | None:
-        """Container name if ``expr`` denotes a set-valued element."""
-        if isinstance(expr, ast.Name) and expr.id in self._aliases:
-            return self._aliases[expr.id]
-        if (
-            isinstance(expr, ast.Subscript)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id in self._tainted
-        ):
-            return expr.value.id
-        return None
+    def bind(
+        self,
+        target: ast.expr,
+        value: ast.expr | None,
+        annotation: ast.expr | None = None,
+    ) -> None:
+        name = _bound_name(target)
+        if name is None:
+            return
+        if self.holds(value) or is_set_annotation(annotation):
+            self.names.add(name)
+        elif value is not None:
+            self.names.discard(name)
 
-    def _alias_targets(self, it: ast.expr) -> ast.expr | None:
-        """The loop-target expr that aliases elements of a tainted
-        container iterated by ``it`` (direct, ``.values()``, or the
-        value half of ``.items()``)."""
-        if isinstance(it, ast.Name) and it.id in self._tainted:
-            return it
-        if (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Attribute)
-            and isinstance(it.func.value, ast.Name)
-            and it.func.value.id in self._tainted
-            and it.func.attr in ("values", "items")
-        ):
-            return it
-        return None
+    def holds(self, node: ast.expr | None) -> bool:
+        """Is ``node`` a set: a set expression or a bound name?"""
+        if is_set_expr(node):
+            return True
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return _bound_name(node) in self.names
+        return False
 
-    @staticmethod
-    def _bound_alias(target: ast.expr, it: ast.expr) -> list[str]:
-        """Names the loop target binds to set-valued elements."""
-        values_only = not (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Attribute)
-            and it.func.attr == "items"
-        )
-        if isinstance(target, ast.Name):
-            return [target.id] if values_only else []
-        if isinstance(target, (ast.Tuple, ast.List)) and not values_only:
-            # for k, g in X.items(): the second name is the element
-            if len(target.elts) == 2 and isinstance(target.elts[1], ast.Name):
-                return [target.elts[1].id]
-        return []
 
-    def _container_of(self, it: ast.expr) -> str:
-        return (
-            it.id if isinstance(it, ast.Name) else it.func.value.id  # type: ignore[union-attr]
-        )
+#: calls that fix the iteration order of their first argument
+_ITER_CALLS = ("list", "tuple", "iter", "enumerate", "max", "min")
 
-    def _emit(self, node: ast.expr, container: str) -> None:
-        self.violations.append(
-            Violation(
-                "SIM015", self.path, node.lineno, node.col_offset,
-                RULES["SIM015"] + f" (element of {container!r})",
-            )
-        )
+
+class SetOrderWalker(ast.NodeVisitor):
+    """The textual-order walk both set-order consumers share.
+
+    Tracks import aliases and :class:`SetBindings` as it goes, and hands
+    every order-fixing site to :meth:`iterated`: a ``for`` loop's
+    iterable, each comprehension generator's iterable, and the first
+    argument of an :data:`_ITER_CALLS` call.  ``set_loop_depth`` counts
+    the enclosing loops and comprehensions whose iterable
+    :meth:`SetBindings.holds`.
+    Subclasses extend the ``visit_*`` methods through ``super()``.
+    """
+
+    def __init__(self, module: str):
+        self.module = module
+        #: local alias -> dotted target ("np" -> "numpy")
+        self.imports: dict[str, str] = {}
+        self.sets = SetBindings()
+        self.set_loop_depth = 0
+
+    def iterated(self, expr: ast.expr, target: ast.expr | None) -> None:
+        """Hook: ``expr`` is iterated in an order-fixing way, binding
+        ``target`` per item (``None`` for a call argument)."""
+
+    def visit_Import(self, node: ast.Import | ast.ImportFrom) -> None:
+        record_import(self.imports, self.module, node)
+        self.generic_visit(node)
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self.sets.bind(target, node.value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self.sets.bind(node.target, node.value, node.annotation)
+        self.generic_visit(node)
+
+    def _loop(self, node: ast.AST, sites) -> None:
+        over_set = False
+        for it, target in sites:
+            self.iterated(it, target)
+            over_set = over_set or self.sets.holds(it)
+        self.set_loop_depth += over_set
+        self.generic_visit(node)
+        self.set_loop_depth -= over_set
 
     def visit_For(self, node: ast.For) -> None:
-        src = self._element_source(node.iter)
-        if src is not None:
-            self._emit(node.iter, src)
-        self.visit(node.iter)
-        added: dict[str, str] = {}
-        it = self._alias_targets(node.iter)
-        if it is not None:
-            container = self._container_of(it)
-            for name in self._bound_alias(node.target, it):
-                added[name] = container
-        saved = dict(self._aliases)
-        self._aliases.update(added)
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self._aliases = saved
+        self._loop(node, [(node.iter, node.target)])
 
     def _visit_comp(self, node) -> None:
-        saved = dict(self._aliases)
-        for gen in node.generators:
-            src = self._element_source(gen.iter)
-            if src is not None:
-                self._emit(gen.iter, src)
-            self.visit(gen.iter)
-            it = self._alias_targets(gen.iter)
-            if it is not None:
-                container = self._container_of(it)
-                for name in self._bound_alias(gen.target, it):
-                    self._aliases[name] = container
-            for cond in gen.ifs:
-                self.visit(cond)
-        if isinstance(node, ast.DictComp):
-            self.visit(node.key)
-            self.visit(node.value)
-        else:
-            self.visit(node.elt)
-        self._aliases = saved
+        self._loop(node, [(gen.iter, gen.target) for gen in node.generators])
 
-    visit_ListComp = _visit_comp
-    visit_SetComp = _visit_comp
-    visit_GeneratorExp = _visit_comp
-    visit_DictComp = _visit_comp
+    visit_ListComp = visit_SetComp = visit_GeneratorExp = visit_DictComp = _visit_comp
 
     def visit_Call(self, node: ast.Call) -> None:
         if (
@@ -795,31 +397,142 @@ class _ElementSetVisitor(ast.NodeVisitor):
             and node.func.id in _ITER_CALLS
             and node.args
         ):
-            src = self._element_source(node.args[0])
-            if src is not None:
-                self._emit(node.args[0], src)
+            self.iterated(node.args[0], None)
         self.generic_visit(node)
 
 
-#: annotation heads that denote an unordered set type
-_SET_ANNOTATIONS = (
-    "set", "frozenset", "Set", "FrozenSet", "MutableSet", "AbstractSet",
-)
+# ---------------------------------------------------------------------------
+# whole-module facts the provenance question needs (SIM012/015/016)
+# ---------------------------------------------------------------------------
+
+def _self_name(method) -> str | None:
+    args = method.args.posonlyargs + method.args.args
+    return args[0].arg if args else None
 
 
-def _is_set_annotation(ann: ast.expr | None) -> bool:
-    if ann is None:
-        return False
-    if isinstance(ann, ast.Name):
-        return ann.id in _SET_ANNOTATIONS
-    if isinstance(ann, ast.Attribute):
-        return ann.attr in _SET_ANNOTATIONS
-    if isinstance(ann, ast.Subscript):
-        return _is_set_annotation(ann.value)
-    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-        head = ann.value.split("[", 1)[0].strip()
-        return head.rsplit(".", 1)[-1] in _SET_ANNOTATIONS
+def _class_set_attrs(node: ast.ClassDef) -> dict[ast.AST, tuple]:
+    """SIM012 facts for one class: ``method node -> (self name, method
+    name, attr -> binding methods)``.
+
+    An attribute is class-wide set state when some method binds it to
+    a set value or annotation and no method binds it to anything else
+    (a mixed attribute is left to the flow-sensitive tracker).
+    """
+    methods = [
+        m for m in node.body
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _self_name(m) is not None
+    ]
+    set_attrs: dict[str, set[str]] = {}
+    non_set: set[str] = set()
+    for method in methods:
+        self_name = _self_name(method)
+        for sub in ast.walk(method):
+            if isinstance(sub, ast.Assign):
+                targets, value, ann = sub.targets, sub.value, None
+            elif isinstance(sub, ast.AnnAssign):
+                targets, value, ann = [sub.target], sub.value, sub.annotation
+            else:
+                continue
+            for target in targets:
+                if not (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == self_name
+                ):
+                    continue
+                if is_set_expr(value) or is_set_annotation(ann):
+                    set_attrs.setdefault(target.attr, set()).add(method.name)
+                elif value is not None:
+                    non_set.add(target.attr)
+    flaggable = {
+        attr: binders for attr, binders in set_attrs.items()
+        if attr not in non_set
+    }
+    if not flaggable:
+        return {}
+    return {m: (_self_name(m), m.name, flaggable) for m in methods}
+
+
+def _container_with_set_elements(value: ast.expr | None) -> bool:
+    if isinstance(value, (ast.List, ast.Tuple)):
+        return any(is_set_expr(e) for e in value.elts)
+    if isinstance(value, ast.Dict):
+        return any(v is not None and is_set_expr(v) for v in value.values)
     return False
+
+
+def _element_containers(tree: ast.AST) -> set[str]:
+    """SIM015 facts: bare-name containers that ever hold a set element
+    (literal elements, ``append``/``insert``/``setdefault``, keyed
+    assignment)."""
+    tainted: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if (
+                    isinstance(target, ast.Name)
+                    and _container_with_set_elements(node.value)
+                ):
+                    tainted.add(target.id)
+                elif (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Name)
+                    and is_set_expr(node.value)
+                ):
+                    tainted.add(target.value.id)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.args
+        ):
+            attr, args = node.func.attr, node.args
+            if (
+                (attr == "append" and is_set_expr(args[0]))
+                or (attr == "insert" and len(args) >= 2 and is_set_expr(args[1]))
+                or (
+                    attr == "setdefault"
+                    and len(args) >= 2
+                    and is_set_expr(args[1])
+                )
+            ):
+                tainted.add(node.func.value.id)
+    return tainted
+
+
+def _element_aliases(
+    target: ast.expr, it: ast.expr, containers: set[str]
+) -> dict[str, str]:
+    """Names a loop over ``it`` binds to set elements of a tainted
+    container (direct, ``.values()``, or the value half of
+    ``.items()``) -> that container."""
+    if isinstance(it, ast.Name) and it.id in containers:
+        container, values_only = it.id, True
+    elif (
+        isinstance(it, ast.Call)
+        and isinstance(it.func, ast.Attribute)
+        and isinstance(it.func.value, ast.Name)
+        and it.func.value.id in containers
+        and it.func.attr in ("values", "items")
+    ):
+        container, values_only = it.func.value.id, it.func.attr == "values"
+    else:
+        return {}
+    if isinstance(target, ast.Name):
+        return {target.id: container} if values_only else {}
+    if (
+        isinstance(target, (ast.Tuple, ast.List))
+        and not values_only
+        and len(target.elts) == 2
+        and isinstance(target.elts[1], ast.Name)
+    ):
+        # for k, g in X.items(): the second name is the element
+        return {target.elts[1].id: container}
+    return {}
 
 
 def _decorator_name(dec: ast.expr) -> str | None:
@@ -832,26 +545,19 @@ def _decorator_name(dec: ast.expr) -> str | None:
     return None
 
 
-class _RecordSetVisitor(ast.NodeVisitor):
-    """SIM016: unordered taint carried by dataclass/namedtuple *fields*.
+class _RecordFields:
+    """SIM016 facts: which dataclass/namedtuple fields hold sets, and
+    which names hold record instances or set fields.
 
-    Records launder set taint the same way container elements do
-    (SIM015), but through a typed attribute instead of an index:
-    ``Unit(paths={a, b})`` drops the set into ``unit.paths``, and the
-    later ``for p in unit.paths`` iterates hash order with every
-    name-based pass blind.  Two phases: collect the record classes
-    (``@dataclass``-decorated, ``NamedTuple`` subclasses,
-    ``collections.namedtuple`` factories) and which of their fields are
-    set-valued — from field annotations, ``field(default_factory=set)``
-    defaults, and set-expression construction arguments — then flag
-    order-fixing iteration over ``instance.field`` (or over a bare name
-    the field was unpacked/aliased into).  ``sorted(...)`` stays
-    exempt, as everywhere in the linter.
+    Record classes are ``@dataclass``-decorated, ``NamedTuple``
+    subclasses and ``collections.namedtuple`` factories; a field is
+    set-valued through its annotation, a ``field(default_factory=set)``
+    default, or a set-expression construction argument.  Instances are
+    followed through construction, annotation and name aliasing; set
+    fields through attribute aliasing and positional unpacking.
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self.violations: list[Violation] = []
+    def __init__(self, tree: ast.AST):
         #: record class -> field names in declaration order
         self._fields: dict[str, list[str]] = {}
         #: record class -> the set-valued subset
@@ -860,9 +566,6 @@ class _RecordSetVisitor(ast.NodeVisitor):
         self._instances: dict[str, str] = {}
         #: bare names a set-valued field was unpacked or aliased into
         self._unpacked: set[str] = set()
-
-    # -- phase 1 ------------------------------------------------------------
-    def collect(self, tree: ast.AST) -> None:
         # Record classes first (a construction site may lexically
         # precede the class definition it instantiates).
         for node in ast.walk(tree):
@@ -906,7 +609,7 @@ class _RecordSetVisitor(ast.NodeVisitor):
                 continue
             name = stmt.target.id
             fields.append(name)
-            if _is_set_annotation(stmt.annotation) or _is_set_expr(stmt.value):
+            if is_set_annotation(stmt.annotation) or is_set_expr(stmt.value):
                 tainted.add(name)
             elif (
                 isinstance(stmt.value, ast.Call)
@@ -956,10 +659,10 @@ class _RecordSetVisitor(ast.NodeVisitor):
         klass = value.func.id
         fields = self._fields[klass]
         for i, arg in enumerate(value.args):
-            if i < len(fields) and _is_set_expr(arg):
+            if i < len(fields) and is_set_expr(arg):
                 self._set_fields[klass].add(fields[i])
         for kw in value.keywords:
-            if kw.arg in fields and _is_set_expr(kw.value):
+            if kw.arg in fields and is_set_expr(kw.value):
                 self._set_fields[klass].add(kw.arg)
         return klass
 
@@ -982,7 +685,7 @@ class _RecordSetVisitor(ast.NodeVisitor):
             if isinstance(target, ast.Name):
                 if klass is not None:
                     self._instances[target.id] = klass
-                elif value is not None and self._field_source(value):
+                elif value is not None and self.source(value):
                     # alias: s = rec.paths carries the taint to a name
                     self._unpacked.add(target.id)
             elif isinstance(target, (ast.Tuple, ast.List)) and klass is not None:
@@ -997,13 +700,9 @@ class _RecordSetVisitor(ast.NodeVisitor):
                     ):
                         self._unpacked.add(elt.id)
 
-    # -- phase 2 ------------------------------------------------------------
-    def _field_source(self, expr: ast.expr) -> str | None:
+    def source(self, expr: ast.expr) -> str | None:
         """Human label if ``expr`` denotes a set-valued record field."""
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-        ):
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
             klass = self._instances.get(expr.value.id)
             if klass is not None and expr.attr in self._set_fields[klass]:
                 return f"{klass}.{expr.attr}"
@@ -1011,41 +710,262 @@ class _RecordSetVisitor(ast.NodeVisitor):
             return f"unpacked {expr.id!r}"
         return None
 
-    def _emit(self, node: ast.expr, source: str) -> None:
+
+# ---------------------------------------------------------------------------
+# the per-file rule visitor
+# ---------------------------------------------------------------------------
+
+class _SimVisitor(SetOrderWalker):
+    """One file's worth of rule checks.
+
+    Set-order findings come from one question asked at every
+    order-fixing site, :meth:`_provenance`; everything else is a
+    local pattern match.
+    """
+
+    def __init__(self, path: str, scope: str, tree: ast.AST):
+        super().__init__(module_name_for(path))
+        self.path = path
+        self.scope = scope  # "sim" | "runtime"
+        self.violations: list[Violation] = []
+        #: stack of (function node, is_generator)
+        self._funcs: list[tuple[ast.AST, bool]] = []
+        #: SIM012: method node -> facts, and the methods being visited
+        self._class_methods: dict[ast.AST, tuple] = {}
+        self._methods: list[tuple] = []
+        #: SIM015/SIM016 facts (sim scope only)
+        self._containers: set[str] = set()
+        self._records: _RecordFields | None = None
+        if scope == "sim":
+            self._containers = _element_containers(tree)
+            self._records = _RecordFields(tree)
+        #: live element aliases (loop vars drawn from a tainted
+        #: container) -> the container they came from
+        self._elements: dict[str, str] = {}
+
+    # -- plumbing ---------------------------------------------------------
+    def _emit(self, rule: str, node: ast.AST, message: str | None = None) -> None:
         self.violations.append(
             Violation(
-                "SIM016", self.path, node.lineno, node.col_offset,
-                RULES["SIM016"] + f" ({source})",
+                rule,
+                self.path,
+                getattr(node, "lineno", 0),
+                getattr(node, "col_offset", 0),
+                message or RULES[rule],
             )
         )
 
-    def _check_iter(self, it: ast.expr) -> None:
-        source = self._field_source(it)
-        if source is not None:
-            self._emit(it, source)
+    # -- set order (SIM004/SIM012/SIM015/SIM016) ---------------------------
+    def _provenance(self, expr: ast.expr) -> list[tuple[str, str]]:
+        """Why iterating ``expr`` replays in hash order, as
+        ``(rule, message)`` findings.
 
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iter(node.iter)
+        A flow-sensitive set binding is SIM004 and takes precedence at
+        its site.  Otherwise: a class-wide set attribute bound in
+        another method is SIM012; in sim scope, an element of a
+        set-holding container is SIM015 and a set field of a record is
+        SIM016.
+        """
+        if self.sets.holds(expr):
+            return [("SIM004", RULES["SIM004"])]
+        found = []
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+            for self_name, method, attrs in self._methods:
+                binders = attrs.get(expr.attr)
+                if (
+                    expr.value.id == self_name
+                    and binders
+                    and binders != {method}
+                ):
+                    found.append((
+                        "SIM012",
+                        RULES["SIM012"] + f" (self.{expr.attr} is bound in "
+                        f"{', '.join(sorted(binders))}())",
+                    ))
+        if self._records is not None:
+            container = None
+            if isinstance(expr, ast.Name):
+                container = self._elements.get(expr.id)
+            elif (
+                isinstance(expr, ast.Subscript)
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id in self._containers
+            ):
+                container = expr.value.id
+            if container is not None:
+                found.append((
+                    "SIM015", RULES["SIM015"] + f" (element of {container!r})"
+                ))
+            field = self._records.source(expr)
+            if field is not None:
+                found.append(("SIM016", RULES["SIM016"] + f" ({field})"))
+        return found
+
+    def iterated(self, expr: ast.expr, target: ast.expr | None) -> None:
+        for rule, message in self._provenance(expr):
+            self._emit(rule, expr, message)
+        if target is not None and self._containers:
+            self._elements.update(
+                _element_aliases(target, expr, self._containers)
+            )
+
+    def _loop(self, node: ast.AST, sites) -> None:
+        # element aliases live for the loop (or comprehension) only
+        saved = dict(self._elements)
+        super()._loop(node, sites)
+        self._elements = saved
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._class_methods.update(_class_set_attrs(node))
         self.generic_visit(node)
 
-    def _visit_comp(self, node) -> None:
-        for gen in node.generators:
-            self._check_iter(gen.iter)
+    def visit_DictComp(self, node: ast.DictComp) -> None:
+        if self._is_id_call(node.key):
+            self._emit("SIM009", node)
+        self._visit_comp(node)
+
+    # -- id()-keyed dicts (SIM009) ------------------------------------------
+    @staticmethod
+    def _is_id_call(node: ast.expr) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "id"
+        )
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        # d[id(x)] — reads and writes alike seed an address-keyed table;
+        # id(x) in a *set* (pure membership, never iterated for order)
+        # stays legal, which is why the rule keys on subscripts.
+        if self._is_id_call(node.slice):
+            self._emit("SIM009", node)
         self.generic_visit(node)
 
-    visit_ListComp = _visit_comp
-    visit_SetComp = _visit_comp
-    visit_GeneratorExp = _visit_comp
-    visit_DictComp = _visit_comp
+    def visit_Dict(self, node: ast.Dict) -> None:
+        if any(key is not None and self._is_id_call(key) for key in node.keys):
+            self._emit("SIM009", node)
+        self.generic_visit(node)
 
+    # -- function context (SIM005/SIM007, SIM012 methods) --------------------
+    @staticmethod
+    def _is_generator(node) -> bool:
+        """Does this function contain a yield of its own (ignoring
+        nested defs/lambdas)?"""
+        stack = list(ast.iter_child_nodes(node))
+        while stack:
+            child = stack.pop()
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, (ast.Yield, ast.YieldFrom)):
+                return True
+            stack.extend(ast.iter_child_nodes(child))
+        return False
+
+    def _visit_func(self, node) -> None:
+        method = self._class_methods.get(node)
+        if method is not None:
+            self._methods.append(method)
+        self._funcs.append((node, self._is_generator(node)))
+        self.generic_visit(node)
+        self._funcs.pop()
+        if method is not None:
+            self._methods.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+
+    @property
+    def _in_generator(self) -> bool:
+        return bool(self._funcs) and self._funcs[-1][1]
+
+    # -- statement-level (SIM005) -------------------------------------------
+    def visit_Expr(self, node: ast.Expr) -> None:
+        value = node.value
+        if self._in_generator and isinstance(value, ast.Call):
+            func = value.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _EVENT_FACTORIES
+                and (_root_name(func.value) or "").endswith("env")
+            ) or (
+                isinstance(func, ast.Name)
+                and func.id in ("Timeout", "AllOf", "AnyOf")
+            ):
+                self._emit("SIM005", node)
+        self.generic_visit(node)
+
+    # -- comparisons (SIM006) ------------------------------------------------
+    @staticmethod
+    def _is_sim_clock(node: ast.expr) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "now"
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        operands = [node.left, *node.comparators]
+        for op, (lhs, rhs) in zip(node.ops, zip(operands, operands[1:])):
+            if isinstance(op, (ast.Eq, ast.NotEq)) and (
+                self._is_sim_clock(lhs) or self._is_sim_clock(rhs)
+            ):
+                self._emit("SIM006", node)
+                break
+        self.generic_visit(node)
+
+    # -- calls (SIM001/002/003/007/008/010) -----------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _ITER_CALLS
-            and node.args
+        qual = qualified_name(self.imports, node.func)
+        if qual is not None:
+            if self.scope == "sim" and qual in _WALL_CLOCK:
+                self._emit("SIM001", node)
+            if qual in _RNG_CONSTRUCT:
+                self._emit("SIM002", node)
+            elif qual in _RNG_GLOBAL_DRAW:
+                self._emit(
+                    "SIM002", node,
+                    RULES["SIM002"] + " (module-global RNG state)",
+                )
+            if self.scope == "sim" and qual in _BLOCKING:
+                self._emit("SIM007", node)
+        if isinstance(node.func, ast.Name) and node.func.id == "hash":
+            self._emit("SIM003", node)
+        if node.args and self.sets.holds(node.args[0]) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "sum")
+            or qual in _FLOAT_REDUCERS
         ):
-            self._check_iter(node.args[0])
-        self.generic_visit(node)
+            # accumulation order over a set is the hash order; float
+            # addition is non-associative, so the total drifts with it
+            self._emit("SIM008", node)
+        if (
+            self.scope == "sim"
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join"
+            and not node.args
+            and all(kw.arg == "timeout" for kw in node.keywords)
+        ):
+            # str.join always takes a positional iterable; a bare
+            # .join() / .join(timeout=...) is a thread join.
+            self._emit("SIM007", node, RULES["SIM007"] + " (thread join)")
+        if self.set_loop_depth > 0 and self._is_scheduling_call(node):
+            # the set's hash order becomes the callback/trigger/spawn
+            # order, i.e. the kernel's same-timestamp tie-break order
+            self._emit("SIM010", node)
+        super().visit_Call(node)
+
+    @staticmethod
+    def _is_scheduling_call(node: ast.Call) -> bool:
+        """Calls that feed the event queue: triggering an event,
+        registering a callback, or spawning a process."""
+        func = node.func
+        if not isinstance(func, ast.Attribute):
+            return False
+        if func.attr in ("succeed", "fail", "trigger", "interrupt"):
+            return True
+        if (
+            func.attr == "append"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "callbacks"
+        ):
+            return True
+        return func.attr == "process" and (
+            (_root_name(func.value) or "").endswith("env")
+        )
 
 
 def collect_violations(
@@ -1059,54 +979,14 @@ def collect_violations(
     ``scope`` is ``"sim"`` for code that runs under the DES kernel and
     ``"runtime"`` for code that legitimately touches real clocks and
     threads (``repro.runtime``, ``repro.posix``); the wall-clock and
-    blocking rules only apply to sim scope.
+    blocking rules only apply to sim scope, and so do the container and
+    record set-order rules (SIM015/SIM016).  Every rule runs; ``rules``
+    only filters the result, so precedence between rules never depends
+    on the selection.
     """
-    active = set(rules) if rules is not None else set(RULES)
-    visitor = _SimVisitor(path, scope, active)
+    visitor = _SimVisitor(path, scope, tree)
     visitor.visit(tree)
-    violations = visitor.violations
-    if "SIM012" in active:
-        # SIM012 complements SIM004: anything the sequential tracker
-        # already sees at the same site stays a SIM004, regardless of
-        # which rules the caller selected
-        spots = {
-            (v.line, v.col) for v in violations if v.rule == "SIM004"
-        }
-        if "SIM004" not in active:
-            aux = _SimVisitor(path, scope, {"SIM004"})
-            aux.visit(tree)
-            spots = {(v.line, v.col) for v in aux.violations}
-        cls_visitor = _ClassSetVisitor(path)
-        cls_visitor.visit(tree)
-        violations.extend(
-            v for v in cls_visitor.violations if (v.line, v.col) not in spots
-        )
-    if "SIM015" in active and scope == "sim":
-        # Same dedup contract as SIM012: a site the sequential tracker
-        # already reports keeps its SIM004.
-        spots = {(v.line, v.col) for v in violations if v.rule == "SIM004"}
-        if "SIM004" not in active:
-            aux = _SimVisitor(path, scope, {"SIM004"})
-            aux.visit(tree)
-            spots = {(v.line, v.col) for v in aux.violations}
-        elem_visitor = _ElementSetVisitor(path)
-        elem_visitor.collect(tree)
-        elem_visitor.visit(tree)
-        violations.extend(
-            v for v in elem_visitor.violations if (v.line, v.col) not in spots
-        )
-    if "SIM016" in active and scope == "sim":
-        # Same dedup contract as SIM012/SIM015: a site the sequential
-        # tracker already reports keeps its SIM004.
-        spots = {(v.line, v.col) for v in violations if v.rule == "SIM004"}
-        if "SIM004" not in active:
-            aux = _SimVisitor(path, scope, {"SIM004"})
-            aux.visit(tree)
-            spots = {(v.line, v.col) for v in aux.violations}
-        rec_visitor = _RecordSetVisitor(path)
-        rec_visitor.collect(tree)
-        rec_visitor.visit(tree)
-        violations.extend(
-            v for v in rec_visitor.violations if (v.line, v.col) not in spots
-        )
-    return violations
+    if rules is None:
+        return visitor.violations
+    active = set(rules)
+    return [v for v in visitor.violations if v.rule in active]

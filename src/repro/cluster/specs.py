@@ -239,11 +239,8 @@ class HVACSpec:
     #: ``client_seg_fallbacks`` instead of burning the full backoff walk
     segment_retry_budget: int = 0
     # -- clairvoyant prefetch & compressed tier (§IV-C future work) -----
-    #: ``off`` = demand reads only; ``reactive`` = bulk pre-population
-    #: at job start (CachePrefetcher); ``clairvoyant`` = look-ahead
-    #: staging driven by the seeded per-epoch access plan (NoPFS-style)
-    prefetch_mode: str = "off"
-    #: files staged ahead of each client's plan cursor (clairvoyant)
+    #: files staged ahead of each client's plan cursor (clairvoyant
+    #: look-ahead staging, :class:`repro.prefetch.LookaheadScheduler`)
     prefetch_lookahead: int = 4
     #: outstanding staged requests allowed per server at once — the
     #: scheduler's per-server credit budget; demand reads never wait on
@@ -287,8 +284,6 @@ class HVACSpec:
             raise ValueError("repair_bandwidth must be >= 0")
         if self.segment_retry_budget < 0:
             raise ValueError("segment_retry_budget must be >= 0")
-        if self.prefetch_mode not in ("off", "reactive", "clairvoyant"):
-            raise ValueError(f"unknown prefetch mode {self.prefetch_mode!r}")
         if self.prefetch_lookahead < 1:
             raise ValueError("prefetch_lookahead must be >= 1")
         if self.prefetch_outstanding < 1:

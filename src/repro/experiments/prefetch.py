@@ -203,8 +203,6 @@ def _run_mode(
     n_nodes: int,
     epochs: int,
     windows: int,
-    lookahead: int,
-    outstanding: int,
     seed: int,
     fault: bool,
     outage: float,
@@ -225,14 +223,14 @@ def _run_mode(
         # Bulk pre-population in placement order, racing epoch 1.
         paths = dataset.paths()
         sizes = [dataset.size(i) for i in range(len(dataset))]
-        CachePrefetcher(dep, paths, sizes, max_outstanding=outstanding).start()
+        CachePrefetcher(
+            dep, paths, sizes, max_outstanding=spec.hvac.prefetch_outstanding
+        ).start()
     else:
         planner = ClairvoyantPlanner.from_epoch_plans(
             dataset, n_nodes, epochs, shuffle_seed=seed
         )
-        scheduler = LookaheadScheduler(
-            dep, planner, lookahead=lookahead, outstanding=outstanding
-        )
+        scheduler = LookaheadScheduler(dep, planner)
         dep.attach_prefetch(scheduler)
         scheduler.start()
 
@@ -365,12 +363,9 @@ def prefetch_comparison(
                 compression_ratio=compression_ratio,
                 decompress_cost_per_byte=decompress_cost_per_byte,
             )
-        mode_spec = mode_spec.with_hvac(
-            prefetch_mode="reactive" if mode == "reactive" else "clairvoyant"
-        )
         result.outcomes[mode] = _run_mode(
             mode, mode_spec, dataset, n_nodes, epochs, windows,
-            lookahead, outstanding, seed, fault, outage, trace=trace,
+            seed, fault, outage, trace=trace,
         )
     result.dashboard = compare.mode_dashboard(
         result.outcomes, "steady-state SLO windows (origin = epoch-1 end)"

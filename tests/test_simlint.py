@@ -219,6 +219,26 @@ class TestRuleDetails:
         src = "r = __import__('random').Random(7)\n"
         assert codes(src) == ["SIM002"]
 
+    def test_relative_import_is_not_the_stdlib_module(self):
+        # ``from .random import Random`` names a sibling module, not the
+        # stdlib one; ``from . import time`` likewise
+        src = (
+            "from .random import Random\n"
+            "from . import time\n\n"
+            "def draw():\n"
+            "    return Random(3), time.time()\n"
+        )
+        assert codes(src, path="src/repro/core/mod.py") == []
+
+    def test_dunder_import_primitive_taints_callers(self):
+        src = (
+            "def stamp():\n"
+            "    return __import__('time').time()\n\n"
+            "def cost(env):\n"
+            "    return env.now + stamp()\n"
+        )
+        assert codes(src, path="src/repro/core/mod.py") == ["SIM001", "SIM011"]
+
     def test_sim002_numpy_alias_and_global_draws(self):
         src = "import numpy as np\n\ng = np.random.default_rng(0)\n"
         assert codes(src) == ["SIM002"]

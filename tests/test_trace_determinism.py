@@ -1,6 +1,7 @@
 """Event-stream fingerprinting, the divergence bisector, and the
 double-run determinism guarantee on a real experiment."""
 
+import repro.check as check
 from repro.check import (
     find_first_divergence,
     fingerprint_run,
@@ -143,6 +144,36 @@ class TestExperimentDeterminism:
     def test_run_determinism_exit_code(self, capsys):
         assert run_determinism(seed=3, n_nodes=2, files_per_rank=2) == 0
         assert "determinism: OK" in capsys.readouterr().out
+
+
+class TestHashSeedLeg:
+    """``run_determinism`` also replays the epochs run in child
+    interpreters under each ``PYTHONHASHSEED`` in ``HASH_SEEDS``."""
+
+    def test_children_reproduce_the_pinned_stream(self):
+        # the CI ``repro check`` configuration: seed 0, 2 nodes, 4 files
+        # per rank
+        in_process = fingerprint_run(check._epochs_run(0, 2, 4))
+        expected = "1496 a5e26349627b43a94732d2e81fa720cc"
+        assert f"{in_process.count} {in_process.fingerprint}" == expected
+        assert check._hash_seed_fingerprints(0, 2, 4) == {
+            "0": expected,
+            "12345": expected,
+        }
+
+    def test_hash_seed_divergence_fails_the_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            check, "_hash_seed_fingerprints", lambda *a: {"12345": "1 beef"}
+        )
+        assert run_determinism(seed=3, n_nodes=2, files_per_rank=2) == 1
+        out = capsys.readouterr().out
+        assert "determinism: FAILED" in out
+        assert "PYTHONHASHSEED=12345: 1 beef" in out
+
+    def test_child_failure_is_reported(self, monkeypatch):
+        monkeypatch.setattr(check, "HASH_SEEDS", ("not-a-seed",))
+        (got,) = check._hash_seed_fingerprints(0, 2, 2).values()
+        assert got.startswith("child failed:")
 
 
 class TestCheckCLI:
