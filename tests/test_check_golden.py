@@ -5,16 +5,21 @@ This file pins *where* and *what*: the exact sorted
 ``(rule, line, col, message)`` list each front end reports for each
 fixture file — simlint (all rules, with the single-module taint pass)
 on ``sim*.py`` and ``taint_caller.py``, the hot-path analyzer on
-``perf*.py`` and the shared-state auditor on ``race*.py``.  A refactor
-of ``repro.check`` must leave every entry unchanged.
+``perf*.py`` and the shared-state auditor on ``race*.py`` — plus the
+note sites and write/root census the auditor's scanners recover from
+each ``race*.py`` fixture.  A refactor of ``repro.check`` must leave
+every entry unchanged.
 """
 
+import ast
 import glob
 import os
 
 import pytest
 
 from repro.check import RULES, audit_source, lint_source, perf_lint_source
+from repro.check.cell_registry import extract_note_sites
+from repro.check.cells import audit_files
 
 from .test_simlint import BAD_FIXTURES
 
@@ -293,3 +298,74 @@ def test_drift_dotted_and_string_set_annotations():
         ("SIM012", 13, 27),
         ("SIM011", 18, 4),
     ]
+
+
+# ---------------------------------------------------------------------------
+# The auditor's scanners: the note sites ``extract_note_sites`` recovers
+# from each race fixture, as ``(function, mode, rendered shapes,
+# forwarded)`` rows, and the ``(n_roots, n_writes)`` census the audit
+# reports for it.
+# ---------------------------------------------------------------------------
+
+NOTE_SITE_GOLDEN = {
+    'race201_bad.py': ([], (1, 1)),
+    'race201_good.py': (
+        [('Pool._worker', 'w', ('pool.total',), False)], (1, 1),
+    ),
+    'race202_bad.py': (
+        [('Ledger.preview', 'r', ('ledger.balance',), False)], (0, 0),
+    ),
+    'race202_good.py': (
+        [
+            ('Ledger.preview', 'r', ('ledger.balance',), False),
+            ('Ledger.deposit', 'w', ('ledger.balance',), False),
+        ],
+        (0, 1),
+    ),
+    'race203_bad.py': (
+        [('Store.put', 'w', ('store.items',), False)], (0, 2),
+    ),
+    'race203_good.py': (
+        [
+            ('Store.put', 'w', ('store.items',), False),
+            ('Store.wipe', 'w', ('store.items',), False),
+        ],
+        (0, 2),
+    ),
+    'race204_bad.py': (
+        [
+            ('Board.claim', 'w', ('pool.<…>',), False),
+            ('Board.subclaim', 'w', ('pool.<…>.<…>',), False),
+            ('Board.enqueue', 'w', ('job.<…><…>',), False),
+        ],
+        (0, 3),
+    ),
+    'race204_good.py': (
+        [
+            ('Board.claim', 'w', ('pool.slot.<…>',), False),
+            ('Board.subclaim', 'w', ('pool.sub.<…>.<…>',), False),
+            ('Board.enqueue', 'w', ('job.t<…>.n<…>',), False),
+        ],
+        (0, 3),
+    ),
+}
+
+
+def test_every_race_fixture_has_note_sites_pinned():
+    names = sorted(
+        os.path.basename(p) for p in glob.glob(os.path.join(FIXTURES, "race*.py"))
+    )
+    assert names == sorted(NOTE_SITE_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(NOTE_SITE_GOLDEN))
+def test_note_sites_and_audit_census(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        source = fh.read()
+    path = f"fixtures/{name}"
+    rows = [
+        (s.func, s.mode, tuple(sh.render() for sh in s.shapes), s.forwarded)
+        for s in extract_note_sites([(path, ast.parse(source))])
+    ]
+    audit = audit_files([(path, source)])
+    assert (rows, (audit.n_roots, audit.n_writes)) == NOTE_SITE_GOLDEN[name]
