@@ -16,6 +16,10 @@ Three layers, all runnable from the CLI and from tests:
   more concurrent roots, and diffs them against the declared
   race-sanitizer cell inventory — proving the runtime sanitizer sees
   every shared mutable cell (``repro check --cells``).
+
+  The static layers, and the hot-path analyzer (:mod:`.perf`), read
+  one :class:`.linter.Program`: the file set parsed once, with one
+  call graph.
 * **Runtime**: event-stream fingerprinting
   (:class:`repro.simcore.EventTrace`) plus a double-run comparison
   that, on divergence, bisects to the first divergent kernel event
@@ -33,10 +37,12 @@ import sys
 
 from .divergence import DivergenceReport, find_first_divergence, fingerprint_run
 from .linter import (
+    Program,
     StaleWaiver,
     TreeLint,
     lint_file,
     lint_paths,
+    lint_program,
     lint_source,
     lint_tree,
     scope_of,
@@ -47,8 +53,16 @@ from .perf import (
     perf_lint_files,
     perf_lint_source,
     perf_lint_tree,
+    perf_program,
 )
-from .cells import RACE_RULES, CellAudit, audit_source, audit_tree
+from .cells import (
+    RACE_RULES,
+    CellAudit,
+    audit_program,
+    audit_source,
+    audit_tree,
+    program_freshness,
+)
 from .cell_registry import DECLARED_CELLS, CellDecl, registry_freshness
 from .races import RaceReport, RaceSanitizer
 from .rules import RULES, Violation
@@ -97,61 +111,46 @@ def default_lint_roots() -> list[str]:
     return [pkg_root]  # .../src/repro
 
 
-def run_lint(
-    paths: list[str] | None = None, verbose: bool = True, taint: bool = False
-) -> int:
-    """Lint the tree; print violations + stale waivers; return exit code."""
-    roots = paths or default_lint_roots()
-    result = lint_tree(roots, taint=taint)
+def _program(paths: list[str] | None) -> Program:
+    return Program.from_paths(paths or default_lint_roots())
+
+
+def _report(result: TreeLint, summary: str, verbose: bool) -> int:
+    """Print a pass's findings and stale waivers, then (``verbose``)
+    its one-line ``summary``; return the pass's exit code."""
     for v in result.violations:
         print(v.render())
     for w in result.stale_waivers:
         print(w.render())
     if verbose:
-        bits = []
-        if result.violations:
-            bits.append(f"{len(result.violations)} violation(s)")
-        if result.stale_waivers:
-            bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
-        status = ", ".join(bits) if bits else "clean"
-        pass_name = "simlint+taint" if taint else "simlint"
-        print(f"{pass_name}: {result.n_files} file(s) checked, {status}")
+        print(summary)
     return 0 if result.clean else 1
 
 
-def run_perf(paths: list[str] | None = None, verbose: bool = True) -> int:
-    """Run the hot-path analyzer; print findings; return exit code."""
-    roots = paths or default_lint_roots()
-    result = perf_lint_tree(roots)
-    for v in result.violations:
-        print(v.render())
-    for w in result.stale_waivers:
-        print(w.render())
-    if verbose:
-        bits = []
-        if result.violations:
-            bits.append(f"{len(result.violations)} violation(s)")
-        if result.stale_waivers:
-            bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
-        status = ", ".join(bits) if bits else "clean"
-        hot = "all functions hot" if result.all_hot else f"{result.n_hot} hot function(s)"
-        print(f"perf: {result.n_files} file(s) checked, {hot}, {status}")
-    return 0 if result.clean else 1
+def _lint(program: Program, taint: bool, verbose: bool = True) -> int:
+    result = lint_program(program, taint=taint)
+    name = "simlint+taint" if taint else "simlint"
+    return _report(
+        result, f"{name}: {result.n_files} file(s) checked, {result.status}",
+        verbose,
+    )
 
 
-def run_cells(
-    paths: list[str] | None = None,
-    output: str | None = None,
-    verbose: bool = True,
-) -> int:
-    """Run the shared-state audit; print findings; return exit code."""
-    roots = paths or default_lint_roots()
-    result = audit_tree(roots)
-    lines = [v.render() for v in result.violations]
-    lines += [w.render() for w in result.stale_waivers]
-    for line in lines:
-        print(line)
+def _perf(program: Program, verbose: bool = True) -> int:
+    result = perf_program(program)
+    hot = "all functions hot" if result.all_hot else f"{result.n_hot} hot function(s)"
+    return _report(
+        result,
+        f"perf: {result.n_files} file(s) checked, {hot}, {result.status}",
+        verbose,
+    )
+
+
+def _cells(program: Program, output: str | None, verbose: bool = True) -> int:
+    result = audit_program(program)
     if output:
+        lines = [v.render() for v in result.violations]
+        lines += [w.render() for w in result.stale_waivers]
         os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
         with open(output, "w", encoding="utf-8") as fh:
             if lines:
@@ -161,18 +160,43 @@ def run_cells(
                     f"cells: clean — {result.n_files} file(s), "
                     f"{result.n_roots} root(s), {result.n_writes} write(s)\n"
                 )
+    return _report(
+        result,
+        f"cells: {result.n_files} file(s), {result.n_roots} concurrency "
+        f"root(s), {result.n_writes} write site(s), {result.status}",
+        verbose,
+    )
+
+
+def _freshness(program: Program, verbose: bool = True) -> int:
+    drift = program_freshness(program)
+    for line in drift:
+        print(line)
     if verbose:
-        bits = []
-        if result.violations:
-            bits.append(f"{len(result.violations)} violation(s)")
-        if result.stale_waivers:
-            bits.append(f"{len(result.stale_waivers)} stale waiver(s)")
-        status = ", ".join(bits) if bits else "clean"
-        print(
-            f"cells: {result.n_files} file(s), {result.n_roots} "
-            f"concurrency root(s), {result.n_writes} write site(s), {status}"
-        )
-    return 0 if result.clean else 1
+        status = f"{len(drift)} drift error(s)" if drift else "fresh"
+        print(f"cells-registry: {len(program.files)} file(s), {status}")
+    return 1 if drift else 0
+
+
+def run_lint(
+    paths: list[str] | None = None, verbose: bool = True, taint: bool = False
+) -> int:
+    """Lint the tree; print violations + stale waivers; return exit code."""
+    return _lint(_program(paths), taint, verbose)
+
+
+def run_perf(paths: list[str] | None = None, verbose: bool = True) -> int:
+    """Run the hot-path analyzer; print findings; return exit code."""
+    return _perf(_program(paths), verbose)
+
+
+def run_cells(
+    paths: list[str] | None = None,
+    output: str | None = None,
+    verbose: bool = True,
+) -> int:
+    """Run the shared-state audit; print findings; return exit code."""
+    return _cells(_program(paths), output, verbose)
 
 
 def run_cells_freshness(
@@ -180,18 +204,9 @@ def run_cells_freshness(
 ) -> int:
     """Check registry drift only: every in-tree ``note_access`` family
     must resolve to a declared cell template.  Separate from the audit
-    gate so CI can pinpoint 'you added a cell but not its declaration'."""
-    roots = paths or default_lint_roots()
-    result = audit_tree(roots)
-    for line in result.freshness:
-        print(line)
-    if verbose:
-        status = (
-            "fresh" if not result.freshness
-            else f"{len(result.freshness)} drift error(s)"
-        )
-        print(f"cells-registry: {result.n_files} file(s), {status}")
-    return 1 if result.freshness else 0
+    gate so CI can pinpoint 'you added a cell but not its declaration';
+    it needs no call graph, so it skips the rest of the audit."""
+    return _freshness(_program(paths), verbose)
 
 
 def _epochs_run(seed: int, n_nodes: int, files_per_rank: int):
@@ -373,11 +388,13 @@ def run_check(
     if cells_freshness_only:
         return run_cells_freshness(paths)
     if not determinism_only:
-        rc |= run_lint(paths, taint=taint)
+        # one parse and one call graph for every static pass
+        program = _program(paths)
+        rc |= _lint(program, taint)
         if perf:
-            rc |= run_perf(paths)
+            rc |= _perf(program)
         if cells:
-            rc |= run_cells(paths, output=cells_output)
+            rc |= _cells(program, cells_output)
     if not lint_only:
         rc |= run_determinism(
             seed=seed,

@@ -32,14 +32,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rules import (
     _BLOCKING,
     _RNG_CONSTRUCT,
     _RNG_GLOBAL_DRAW,
     _WALL_CLOCK,
+    ScopeWalker,
     SetOrderWalker,
     module_name_for,
+    name_chain,
     qualified_name,
 )
 
@@ -91,7 +94,7 @@ class FunctionInfo:
     path: str
     line: int
     scope: str  #: ``"sim"`` | ``"runtime"`` (from :func:`..linter.scope_of`)
-    params: tuple[str, ...]  #: positional params, ``self``/``cls`` stripped
+    params: tuple[str, ...]  #: positional params, the method's ``self`` stripped
     sources: list[TaintSource] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
     iterated_params: set[str] = field(default_factory=set)
@@ -106,69 +109,58 @@ def module_matches(module: str, suffixes: tuple[str, ...]) -> bool:
     return any(module == s or module.endswith("." + s) for s in suffixes)
 
 
-class _ModuleScanner(SetOrderWalker):
+class _ModuleScanner(SetOrderWalker, ScopeWalker):
     """Extract :class:`FunctionInfo` records from one parsed module.
 
     Import aliases and set bindings come from the shared
     :class:`.rules.SetOrderWalker`, so a name simlint treats as a set
-    is exactly the name this scanner treats as a taint source.
+    is exactly the name this scanner treats as a taint source; function
+    attribution and ``self`` calls from :class:`.rules.ScopeWalker`.
     """
 
-    def __init__(self, module: str, path: str, scope: str, waived):
-        super().__init__(module)
-        self.path = path
-        self.scope = scope
-        self._waived = waived  # callable (line, rule) -> bool
+    def __init__(self, file):
+        super().__init__(file.module)
+        self.file = file  # a :class:`..linter.SourceFile`
         self.functions: dict[str, FunctionInfo] = {}
-        self._class_stack: list[str] = []
-        self._func_stack: list[FunctionInfo] = []
+        self._info: FunctionInfo | None = None  # the enclosing function
         self._nested_depth = 0  # inside a nested def: returns belong to it
         self._return_calls: set[int] = set()  # id()s of return-position Calls
         self._yield_calls: set[int] = set()  # id()s of yield-from delegate Calls
         self._iterated_calls: set[int] = set()  # id()s of for/comp-iter Calls
 
-    # -- function / class structure ----------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _visit_func(self, node) -> None:
-        if self._func_stack:
-            # Nested def: attribute its body to the enclosing function
-            # (conservative: a closure's primitives taint the parent) —
-            # except its returns, which do not leave the parent.
-            self._nested_depth += 1
-            self.generic_visit(node)
-            self._nested_depth -= 1
-            return
-        qual = ".".join([*self._class_stack, node.name])
+    # -- function structure --------------------------------------------------
+    def function(self, node) -> None:
         params = [a.arg for a in (*node.args.posonlyargs, *node.args.args)]
-        if self._class_stack and params and params[0] in ("self", "cls"):
+        if self.self_name is not None:
             params = params[1:]
         info = FunctionInfo(
-            key=f"{self.module}::{qual}",
+            key=f"{self.module}::{self.qual}",
             module=self.module,
-            qualname=qual,
-            path=self.path,
+            qualname=self.qual,
+            path=self.file.path,
             line=node.lineno,
-            scope=self.scope,
+            scope=self.file.scope,
             params=tuple(params),
         )
-        self.functions[qual] = info
-        self._func_stack.append(info)
+        self.functions[self.qual] = info
+        self._info = info
         self.generic_visit(node)
-        self._func_stack.pop()
+        self._info = None
 
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+    def nested_def(self, node) -> None:
+        # A closure's primitives taint the parent (conservative), but
+        # its returns do not leave the parent.
+        self._nested_depth += 1
+        self.generic_visit(node)
+        self._nested_depth -= 1
 
     # -- primitives and call sites -----------------------------------------
     def _source(self, rule: str, kind: str, node: ast.AST) -> None:
-        if not self._func_stack:
+        if self._info is None:
             return  # module-level code: nothing to taint through
-        if self._waived(node.lineno, rule):
+        if self.file.waived(node.lineno, rule):
             return  # explicitly sanctioned: not a taint source
-        self._func_stack[-1].sources.append(TaintSource(rule, kind, node.lineno))
+        self._info.sources.append(TaintSource(rule, kind, node.lineno))
 
     #: wrappers that pass their argument's order through to the loop
     _ORDER_PRESERVING = ("list", "tuple", "iter", "enumerate", "reversed")
@@ -177,9 +169,9 @@ class _ModuleScanner(SetOrderWalker):
         # Loops and comprehensions only: the taint pass leaves the
         # order-fixing call arguments (``list(s)``, ``max(s)``) to the
         # per-function rules.
-        if not self._func_stack or target is None:
+        info = self._info
+        if info is None or target is None:
             return
-        info = self._func_stack[-1]
         if isinstance(iter_node, ast.Name) and iter_node.id in info.params:
             info.iterated_params.add(iter_node.id)
         elif self.sets.holds(iter_node):
@@ -204,9 +196,9 @@ class _ModuleScanner(SetOrderWalker):
         # returns another call's result verbatim may do so transitively
         # (resolved by the fixpoint in :mod:`.taint`).  Nested defs keep
         # their returns to themselves.
-        if self._func_stack and not self._nested_depth and node.value is not None:
-            info = self._func_stack[-1]
-            if self._waived(node.lineno, "SIM013"):
+        info = self._info
+        if info is not None and not self._nested_depth and node.value is not None:
+            if self.file.waived(node.lineno, "SIM013"):
                 pass  # sanctioned producer: never a SIM013 source
             elif self.sets.holds(node.value):
                 info.returns_unordered = True
@@ -222,8 +214,8 @@ class _ModuleScanner(SetOrderWalker):
         # at iteration sites, so ``yield from list(g())`` still follows
         # g; ``sorted(...)`` neutralizes.  Nested defs keep their
         # yields to themselves.
-        if self._func_stack and not self._nested_depth:
-            info = self._func_stack[-1]
+        info = self._info
+        if info is not None and not self._nested_depth:
             value = node.value
             while (
                 isinstance(value, ast.Call)
@@ -232,7 +224,7 @@ class _ModuleScanner(SetOrderWalker):
                 and value.args
             ):
                 value = value.args[0]
-            if self._waived(node.lineno, "SIM014"):
+            if self.file.waived(node.lineno, "SIM014"):
                 pass  # sanctioned producer: never a SIM014 source
             elif self.sets.holds(value):
                 info.yields_unordered = True
@@ -260,29 +252,8 @@ class _ModuleScanner(SetOrderWalker):
         super().visit_Call(node)
 
     def _record_call(self, node: ast.Call) -> None:
-        if not self._func_stack:
-            return
-        info = self._func_stack[-1]
-        func = node.func
-        ref: tuple | None = None
-        display = ""
-        if isinstance(func, ast.Name):
-            display = func.id
-            ref = ("name", func.id)
-        elif isinstance(func, ast.Attribute):
-            root = func.value
-            chain = [func.attr]
-            while isinstance(root, ast.Attribute):
-                chain.append(root.attr)
-                root = root.value
-            if isinstance(root, ast.Name):
-                chain.append(root.id)
-                chain.reverse()
-                display = ".".join(chain)
-                if root.id in ("self", "cls") and len(chain) == 2 and self._class_stack:
-                    ref = ("self", self._class_stack[-1], chain[1])
-                else:
-                    ref = ("dotted", tuple(chain))
+        info = self._info
+        ref = self.reference(node.func) if info is not None else None
         if ref is None:
             return
         set_args = tuple(
@@ -297,7 +268,7 @@ class _ModuleScanner(SetOrderWalker):
             CallSite(
                 line=node.lineno,
                 col=node.col_offset,
-                display=display,
+                display=".".join(name_chain(node.func)),
                 ref=ref,
                 set_args=set_args,
                 param_args=param_args,
@@ -308,15 +279,9 @@ class _ModuleScanner(SetOrderWalker):
         )
 
 
-class _Module:
-    __slots__ = ("name", "path", "scope", "functions", "imports")
-
-    def __init__(self, name, path, scope, functions, imports):
-        self.name = name
-        self.path = path
-        self.scope = scope
-        self.functions = functions  # qualname -> FunctionInfo
-        self.imports = imports  # alias -> dotted target
+class _Module(NamedTuple):
+    functions: dict[str, FunctionInfo]  #: qualname -> function
+    imports: dict[str, str]  #: alias -> dotted target
 
 
 class CallGraph:
@@ -329,16 +294,13 @@ class CallGraph:
     # -- construction -------------------------------------------------------
     @classmethod
     def build(cls, files) -> "CallGraph":
-        """``files`` is an iterable of ``(path, tree, scope, waived)``
-        where ``waived`` is a ``(line, rule) -> bool`` callable."""
+        """``files`` are :class:`..linter.SourceFile` records; their
+        simlint waivers sanction taint sources."""
         graph = cls()
-        for path, tree, scope, waived in files:
-            module = module_name_for(path)
-            scanner = _ModuleScanner(module, path, scope, waived)
-            scanner.visit(tree)
-            graph.modules[module] = _Module(
-                module, path, scope, scanner.functions, scanner.imports
-            )
+        for file in files:
+            scanner = _ModuleScanner(file)
+            scanner.visit(file.tree)
+            graph.modules[file.module] = _Module(scanner.functions, scanner.imports)
             for info in scanner.functions.values():
                 graph.functions[info.key] = info
         graph._resolve_calls()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..simcore.cells import cell_name
-from .callgraph import module_name_for
+from .rules import ScopeWalker, module_name_for, terminal_name
 
 __all__ = [
     "CellDecl",
@@ -40,6 +40,7 @@ __all__ = [
     "Shape",
     "extract_note_sites",
     "parse_race_cells",
+    "registry_drift",
     "registry_freshness",
     "shape_of_pattern",
     "shapes_intersect",
@@ -319,27 +320,16 @@ class _TemplateIndex:
     #: (class, func) -> returned string-template exprs
     returns: dict[tuple[str, str], list[ast.expr]] = field(default_factory=dict)
     #: per-expr context: id(expr) -> (class, self-name) where collected
-    ctx: dict[int, tuple[str, str]] = field(default_factory=dict)
+    ctx: dict[int, tuple[str, str | None]] = field(default_factory=dict)
 
 
-class _IndexBuilder(ast.NodeVisitor):
+class _IndexBuilder(ScopeWalker):
     def __init__(self, index: _TemplateIndex):
+        super().__init__()
         self.index = index
-        self._class_stack: list[str] = []
-        self._self = "self"
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    @property
-    def _klass(self) -> str:
-        return self._class_stack[-1] if self._class_stack else ""
-
-    def _visit_func(self, node) -> None:
-        args = [*node.args.posonlyargs, *node.args.args]
-        saved, self._self = self._self, (args[0].arg if args else "self")
+    def function(self, node) -> None:
+        # a nested def's returns are indexed under both names
         for stmt in ast.walk(node):
             if (
                 isinstance(stmt, ast.Return)
@@ -347,26 +337,22 @@ class _IndexBuilder(ast.NodeVisitor):
                 and isinstance(stmt.value, (ast.JoinedStr, ast.Constant, ast.Call))
             ):
                 self.index.returns.setdefault(
-                    (self._klass, node.name), []
+                    (self.klass, node.name), []
                 ).append(stmt.value)
                 self._ctx(stmt.value)
         self.generic_visit(node)
-        self._self = saved
 
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+    nested_def = function
 
     def _ctx(self, expr: ast.expr) -> None:
         # simlint: waive SIM009 -- lookup-only map (AST node identity); never iterated
-        self.index.ctx[id(expr)] = (self._klass, self._self)
-
-    def _is_self(self, node: ast.expr) -> bool:
-        return isinstance(node, ast.Name) and node.id in (self._self, "self", "cls")
+        self.index.ctx[id(expr)] = (self.klass, self.self_name)
 
     def _store(self, target: ast.expr, value: ast.expr | None) -> None:
         if value is None:
             return
-        if isinstance(target, ast.Attribute) and self._is_self(target.value):
-            key = (self._klass, target.attr)
+        if isinstance(target, ast.Attribute) and self.is_self(target.value):
+            key = (self.klass, target.attr)
             if isinstance(value, ast.Dict):
                 for v in value.values:
                     if v is not None:
@@ -381,9 +367,9 @@ class _IndexBuilder(ast.NodeVisitor):
         elif (
             isinstance(target, ast.Subscript)
             and isinstance(target.value, ast.Attribute)
-            and self._is_self(target.value.value)
+            and self.is_self(target.value.value)
         ):
-            key = (self._klass, target.value.attr)
+            key = (self.klass, target.value.attr)
             self.index.elements.setdefault(key, []).append(value)
             self._ctx(value)
 
@@ -402,10 +388,10 @@ class _IndexBuilder(ast.NodeVisitor):
             isinstance(func, ast.Attribute)
             and func.attr == "setdefault"
             and isinstance(func.value, ast.Attribute)
-            and self._is_self(func.value.value)
+            and self.is_self(func.value.value)
             and len(node.args) >= 2
         ):
-            key = (self._klass, func.value.attr)
+            key = (self.klass, func.value.attr)
             self.index.elements.setdefault(key, []).append(node.args[1])
             self._ctx(node.args[1])
         self.generic_visit(node)
@@ -423,7 +409,7 @@ class _Resolver:
         self,
         expr: ast.expr,
         klass: str,
-        self_name: str,
+        self_name: str | None,
         local_assigns: dict[str, list[ast.expr]],
         depth: int = 0,
     ) -> list[Shape]:
@@ -432,6 +418,10 @@ class _Resolver:
         rec = lambda e, k=klass, s=self_name: self.resolve(  # noqa: E731
             e, k, s, local_assigns, depth + 1
         )
+
+        def is_self(node: ast.expr) -> bool:
+            return isinstance(node, ast.Name) and node.id == self_name
+
         if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
             return [_normalize([expr.value])]
         if isinstance(expr, ast.JoinedStr):
@@ -448,9 +438,7 @@ class _Resolver:
                 out.extend(rec(value))
             return _dedup(out)
         if isinstance(expr, ast.Attribute):
-            if isinstance(expr.value, ast.Name) and expr.value.id in (
-                self_name, "self", "cls",
-            ):
+            if is_self(expr.value):
                 return self._from_store(
                     expr.attr, klass, "direct", local_assigns, depth
                 )
@@ -460,11 +448,7 @@ class _Resolver:
             return self._from_returns(expr.attr, None, local_assigns, depth)
         if isinstance(expr, ast.Subscript):
             container = expr.value
-            if (
-                isinstance(container, ast.Attribute)
-                and isinstance(container.value, ast.Name)
-                and container.value.id in (self_name, "self", "cls")
-            ):
+            if isinstance(container, ast.Attribute) and is_self(container.value):
                 return self._from_store(
                     container.attr, klass, "elements", local_assigns, depth
                 )
@@ -481,28 +465,22 @@ class _Resolver:
             return []
         if isinstance(expr, ast.Call):
             func = expr.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
+            name = terminal_name(func)
             if name == "cell_name":
                 return self._from_cell_name(expr)
             if (
                 name == "get"
                 and isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id in (self_name, "self", "cls")
+                and is_self(func.value.value)
             ):
                 return self._from_store(
                     func.value.attr, klass, "elements", local_assigns, depth
                 )
             if name is not None:
                 # Helper method/function returning the template.
-                receiver_is_self = isinstance(func, ast.Attribute) and (
-                    isinstance(func.value, ast.Name)
-                    and func.value.id in (self_name, "self", "cls")
+                receiver_is_self = isinstance(func, ast.Attribute) and is_self(
+                    func.value
                 )
                 return self._from_returns(
                     name, klass if receiver_is_self else None,
@@ -584,59 +562,32 @@ def _dedup(shapes: list[Shape]) -> list[Shape]:
     return out
 
 
-class _NoteScanner(ast.NodeVisitor):
+class _NoteScanner(ScopeWalker):
     """Find ``note_access`` calls and resolve their name argument."""
 
     def __init__(self, path: str, module: str, index: _TemplateIndex):
+        super().__init__()
         self.path = path
         self.module = module
-        self.index = index
         self.resolver = _Resolver(index)
         self.sites: list[NoteSite] = []
-        self._class_stack: list[str] = []
-        self._func_stack: list[str] = []
-        self._self = "self"
-        #: per-enclosing-function local assignments, name -> exprs
-        self._locals: list[dict[str, list[ast.expr]]] = []
-        #: the enclosing top-level function's parameter names
+        #: the enclosing top-level function's local assignments and
+        #: parameter names
+        self._locals: dict[str, list[ast.expr]] = {}
         self._params: set[str] = set()
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
+    def function(self, node) -> None:
+        a = node.args
+        self._locals = {}
+        self._params = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
         self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _visit_func(self, node) -> None:
-        top_level = not self._func_stack
-        self._func_stack.append(node.name)
-        if top_level:
-            args = [*node.args.posonlyargs, *node.args.args]
-            self._saved_self = self._self
-            self._self = args[0].arg if (args and self._class_stack) else "self"
-            self._locals.append({})
-            self._saved_params = self._params
-            self._params = {
-                a.arg
-                for a in (
-                    *node.args.posonlyargs,
-                    *node.args.args,
-                    *node.args.kwonlyargs,
-                )
-            }
-        self.generic_visit(node)
-        self._func_stack.pop()
-        if top_level:
-            self._locals.pop()
-            self._self = self._saved_self
-            self._params = self._saved_params
-
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+        self._locals, self._params = {}, set()
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        if self._locals:
+        if self.qual:
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    self._locals[-1].setdefault(target.id, []).append(node.value)
+                    self._locals.setdefault(target.id, []).append(node.value)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -651,31 +602,22 @@ class _NoteScanner(ast.NodeVisitor):
             for kw in node.keywords:
                 if kw.arg == "mode" and isinstance(kw.value, ast.Constant):
                     mode = str(kw.value.value)
-            klass = self._class_stack[-1] if self._class_stack else ""
             cell_arg = node.args[0]
             forwarded = (
                 isinstance(cell_arg, ast.Name)
                 and cell_arg.id in self._params
-                and cell_arg.id not in (
-                    self._locals[-1] if self._locals else {}
-                )
+                and cell_arg.id not in self._locals
             )
             shapes = () if forwarded else self.resolver.resolve(
-                cell_arg,
-                klass,
-                self._self,
-                self._locals[-1] if self._locals else {},
+                cell_arg, self.klass, self.self_name, self._locals
             )
-            qual = ".".join(
-                [*self._class_stack, *self._func_stack[:1]]
-            ) if self._func_stack else ""
             self.sites.append(
                 NoteSite(
                     path=self.path,
                     line=node.lineno,
                     col=node.col_offset,
                     module=self.module,
-                    func=qual,
+                    func=self.qual,
                     mode=mode,
                     shapes=tuple(shapes),
                     raw=ast.unparse(cell_arg),
@@ -713,7 +655,13 @@ def registry_freshness(
     name expression); the declared→noted direction is the auditor's
     RACE202.
     """
-    sites = extract_note_sites(parsed)
+    return registry_drift(extract_note_sites(parsed), registry)
+
+
+def registry_drift(
+    sites: Iterable[NoteSite], registry: Iterable[CellDecl]
+) -> list[str]:
+    """:func:`registry_freshness` over already-extracted note sites."""
     declared = {d.shape.tokens for d in registry}
     errors: list[str] = []
     for site in sites:

@@ -52,27 +52,20 @@ the check (same machinery as simlint's and perf's).
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, module_matches, module_name_for
+from .callgraph import CallGraph, module_matches
 from .cell_registry import (
     DECLARED_CELLS,
     CellDecl,
+    NoteSite,
     extract_note_sites,
     parse_race_cells,
-    registry_freshness,
+    registry_drift,
     shapes_intersect,
 )
-from .linter import (
-    StaleWaiver,
-    _apply_waivers,
-    _waiver_comment_lines,
-    no_waiver,
-    read_sources,
-    scope_of,
-)
-from .rules import Violation
+from .linter import Program, TreeLint, settle_waivers
+from .rules import ScopeWalker, Violation, terminal_name
 
 __all__ = [
     "RACE_RULES",
@@ -98,9 +91,6 @@ RACE_RULES: dict[str, str] = {
     "literal) — distinct entities would share one cell and false-positive "
     "or mask each other",
 }
-
-_RACE_WAIVE_RE = re.compile(r"#\s*race:\s*waive\b([^#\n]*)")
-_RACE_CODE_RE = re.compile(r"RACE\d{3}")
 
 #: construction/teardown functions whose writes are setup, not shared
 #: mutation — they run before (or after) any concurrent root exists
@@ -147,87 +137,42 @@ class _Spawn:
     kind: str  #: "process" | "handler"
 
 
-class _AuditScanner(ast.NodeVisitor):
-    """Writes and spawn roots for one module.
-
-    Mirrors :class:`.callgraph._ModuleScanner`'s attribution rules —
-    nested defs belong to their enclosing top-level function — so the
-    function keys line up with the call graph's.
-    """
+class _AuditScanner(ScopeWalker):
+    """Writes and spawn roots for one module, keyed like the call
+    graph's functions (nested defs belong to their top-level one)."""
 
     def __init__(self, module: str, path: str):
+        super().__init__()
         self.module = module
         self.path = path
         self.writes: list[_Write] = []
         self.spawns: list[_Spawn] = []
-        self._class_stack: list[str] = []
-        self._func_stack: list[str] = []  # top-level qualnames only
-        self._self = "self"
         #: local alias -> self attribute it names (``w = self._wakeups``)
         self._aliases: dict[str, str] = {}
         self._loop_depth = 0
 
-    # -- structure ---------------------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
+    def function(self, node) -> None:
+        saved = self._aliases, self._loop_depth
+        self._aliases, self._loop_depth = {}, 0
         self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _visit_func(self, node) -> None:
-        if self._func_stack:
-            # Nested def: its body belongs to the enclosing function.
-            self.generic_visit(node)
-            return
-        qual = ".".join([*self._class_stack, node.name])
-        args = [*node.args.posonlyargs, *node.args.args]
-        saved_self, saved_aliases, saved_loop = (
-            self._self, self._aliases, self._loop_depth,
-        )
-        self._self = args[0].arg if (args and self._class_stack) else "self"
-        self._aliases = {}
-        self._loop_depth = 0
-        self._func_stack.append(qual)
-        self.generic_visit(node)
-        self._func_stack.pop()
-        self._self, self._aliases, self._loop_depth = (
-            saved_self, saved_aliases, saved_loop,
-        )
-
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+        self._aliases, self._loop_depth = saved
 
     # -- write detection ---------------------------------------------------
-    def _is_self(self, node: ast.expr) -> bool:
-        return isinstance(node, ast.Name) and node.id in (
-            self._self, "self", "cls",
-        )
-
-    def _self_chain(self, node: ast.expr) -> str | None:
-        """Dotted attribute chain rooted at self (``"x"``, ``"x.y"``)."""
-        parts: list[str] = []
-        cur = node
-        while isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        if parts and self._is_self(cur):
-            return ".".join(reversed(parts))
-        return None
-
     def _written_attr(self, target: ast.expr) -> str | None:
         if isinstance(target, ast.Attribute):
-            return self._self_chain(target)
+            return self.self_chain(target)
         if isinstance(target, ast.Subscript):
             base = target.value
             if isinstance(base, ast.Attribute):
-                return self._self_chain(base)
+                return self.self_chain(base)
             if isinstance(base, ast.Name):
                 return self._aliases.get(base.id)
         return None
 
     def _record_write(self, node: ast.AST, attr: str, verb: str) -> None:
-        if not self._func_stack:
+        if not self.qual:
             return  # module-level: import time, single-threaded
-        qual = self._func_stack[-1]
-        if qual.rsplit(".", 1)[-1] in _SETUP_EXEMPT:
+        if self.qual.rsplit(".", 1)[-1] in _SETUP_EXEMPT:
             return
         self.writes.append(
             _Write(
@@ -235,7 +180,7 @@ class _AuditScanner(ast.NodeVisitor):
                 line=getattr(node, "lineno", 0),
                 col=getattr(node, "col_offset", 0),
                 module=self.module,
-                qual=qual,
+                qual=self.qual,
                 attr=attr,
                 verb=verb,
             )
@@ -249,11 +194,7 @@ class _AuditScanner(ast.NodeVisitor):
             # Alias tracking: ``w = self._wakeups`` makes later
             # ``w[k] = ...`` a write to _wakeups.
             if isinstance(target, ast.Name):
-                chain = (
-                    self._self_chain(node.value)
-                    if isinstance(node.value, ast.Attribute)
-                    else None
-                )
+                chain = self.self_chain(node.value)
                 if chain is not None and "." not in chain:
                     self._aliases[target.id] = chain
                 else:
@@ -304,46 +245,13 @@ class _AuditScanner(ast.NodeVisitor):
     visit_DictComp = _visit_comp
 
     # -- spawn roots ---------------------------------------------------------
-    @staticmethod
-    def _owner_name(node: ast.expr) -> str:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return ""
-
-    def _gen_ref(self, gen: ast.expr) -> tuple | None:
-        """Callgraph-style reference to a spawned generator call."""
-        if not isinstance(gen, ast.Call):
-            return None
-        func = gen.func
-        if isinstance(func, ast.Name):
-            return ("name", func.id)
-        if isinstance(func, ast.Attribute):
-            chain = [func.attr]
-            root = func.value
-            while isinstance(root, ast.Attribute):
-                chain.append(root.attr)
-                root = root.value
-            if isinstance(root, ast.Name):
-                chain.append(root.id)
-                chain.reverse()
-                if (
-                    root.id in ("self", "cls", self._self)
-                    and len(chain) == 2
-                    and self._class_stack
-                ):
-                    return ("self", self._class_stack[-1], chain[1])
-                return ("dotted", tuple(chain))
-        return None
-
     def _record_spawn(self, node, ref, replicated, kind) -> None:
         self.spawns.append(
             _Spawn(
                 path=self.path,
                 line=node.lineno,
                 module=self.module,
-                qual=self._func_stack[-1] if self._func_stack else "",
+                qual=self.qual,
                 ref=ref,
                 replicated=replicated,
                 kind=kind,
@@ -357,11 +265,11 @@ class _AuditScanner(ast.NodeVisitor):
             base = func.value
             attr: str | None = None
             if isinstance(base, ast.Attribute):
-                attr = self._self_chain(base)
+                attr = self.self_chain(base)
             elif isinstance(base, ast.Subscript):
                 inner = base.value
                 if isinstance(inner, ast.Attribute):
-                    attr = self._self_chain(inner)
+                    attr = self.self_chain(inner)
                 elif isinstance(inner, ast.Name):
                     attr = self._aliases.get(inner.id)
             elif isinstance(base, ast.Name):
@@ -374,11 +282,12 @@ class _AuditScanner(ast.NodeVisitor):
             and func.attr == "process"
             and node.args
         ):
-            owner = self._owner_name(func.value)
+            owner = terminal_name(func.value) or ""
+            gen = node.args[0]
             if owner.endswith("env") or owner == "environment":
                 self._record_spawn(
                     node,
-                    self._gen_ref(node.args[0]),
+                    self.reference(gen.func) if isinstance(gen, ast.Call) else None,
                     replicated=self._loop_depth > 0,
                     kind="process",
                 )
@@ -387,19 +296,11 @@ class _AuditScanner(ast.NodeVisitor):
             isinstance(func, ast.Attribute)
             and func.attr == "register"
             and len(node.args) >= 2
-            and "endpoint" in self._owner_name(func.value).lower()
+            and "endpoint" in (terminal_name(func.value) or "").lower()
         ):
             for arg in node.args[1:]:
-                ref: tuple | None = None
-                if (
-                    isinstance(arg, ast.Attribute)
-                    and self._is_self(arg.value)
-                    and self._class_stack
-                ):
-                    ref = ("self", self._class_stack[-1], arg.attr)
-                elif isinstance(arg, ast.Name):
-                    ref = ("name", arg.id)
-                if ref is not None:
+                ref = self.reference(arg)
+                if ref is not None and ref[0] != "dotted":
                     # Handlers re-enter per incoming message: replicated.
                     self._record_spawn(node, ref, replicated=True,
                                        kind="handler")
@@ -411,19 +312,12 @@ class _AuditScanner(ast.NodeVisitor):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CellAudit:
+class CellAudit(TreeLint):
     """The result of a ``--cells`` pass over one file set."""
 
-    violations: list[Violation]
-    stale_waivers: list[StaleWaiver]
     freshness: list[str]  #: registry-drift errors (separate CI gate)
-    n_files: int
     n_roots: int  #: distinct concurrent root functions found
     n_writes: int  #: attribute write sites collected
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations and not self.stale_waivers
 
 
 def _closure(graph: CallGraph, root: str) -> list[str]:
@@ -440,35 +334,43 @@ def _closure(graph: CallGraph, root: str) -> list[str]:
     return sorted(seen)
 
 
-def audit_files(files: list[tuple[str, str]]) -> CellAudit:
-    """Run the shared-state audit over ``(path, source)`` pairs."""
-    parsed: list[tuple[str, str, ast.Module]] = []
-    for path, source in files:
-        parsed.append((path, source, ast.parse(source, filename=path)))
+def declared_cells(program: Program) -> list[CellDecl]:
+    """The file set's ``RACE_CELLS`` declarations, then every registry
+    declaration whose component is in the file set."""
+    decls = [d for f in program.files for d in parse_race_cells(f.tree, f.path)]
+    modules = [f.module for f in program.files]
+    decls += [
+        d for d in DECLARED_CELLS
+        if any(module_matches(m, (d.component,)) for m in modules)
+    ]
+    return decls
 
-    graph = CallGraph.build(
-        (path, tree, scope_of(path), no_waiver) for path, _, tree in parsed
-    )
 
+def _note_sites(program: Program) -> list[NoteSite]:
+    return extract_note_sites((f.path, f.tree) for f in program.files)
+
+
+def program_freshness(program: Program) -> list[str]:
+    """Registry drift alone: the note sites diffed against the declared
+    cells, with no call graph and no RACE2xx analysis."""
+    return registry_drift(_note_sites(program), declared_cells(program))
+
+
+def audit_program(program: Program) -> CellAudit:
+    """Run the shared-state audit over a parsed file set."""
+    graph = program.graph
     writes: list[_Write] = []
     spawns: list[_Spawn] = []
-    decls: list[CellDecl] = []
-    for path, _, tree in parsed:
-        module = module_name_for(path)
-        decls.extend(parse_race_cells(tree, path))
-        if scope_of(path) != "sim" or _is_kernel(module):
+    for f in program.files:
+        if f.scope != "sim" or _is_kernel(f.module):
             continue
-        scanner = _AuditScanner(module, path)
-        scanner.visit(tree)
+        scanner = _AuditScanner(f.module, f.path)
+        scanner.visit(f.tree)
         writes.extend(scanner.writes)
         spawns.extend(scanner.spawns)
 
-    # Registry declarations are in scope when their component is.
-    for decl in DECLARED_CELLS:
-        if any(module_matches(m, (decl.component,)) for m in graph.modules):
-            decls.append(decl)
-
-    note_sites = extract_note_sites((p, t) for p, _, t in parsed)
+    decls = declared_cells(program)
+    note_sites = _note_sites(program)
     noted_funcs = {f"{s.module}::{s.func}" for s in note_sites}
 
     # -- concurrency roots and their closures -------------------------------
@@ -539,7 +441,7 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
             )
 
     # -- RACE202: dead declarations -----------------------------------------
-    path_of_module = {module_name_for(p): p for p, _, _ in parsed}
+    path_of_module = {f.module: f.path for f in program.files}
     write_shapes = {
         shape.tokens
         for site in note_sites
@@ -604,50 +506,25 @@ def audit_files(files: list[tuple[str, str]]) -> CellAudit:
                     )
                 )
 
-    freshness = registry_freshness(
-        ((p, t) for p, _, t in parsed), registry=decls
-    )
-
-    # -- waivers -------------------------------------------------------------
-    by_path: dict[str, list[Violation]] = {}
-    for v in raw:
-        by_path.setdefault(v.path, []).append(v)
-    violations: list[Violation] = []
-    stale: list[StaleWaiver] = []
-    for path, source, _ in parsed:
-        lines = source.splitlines()
-        found = sorted(
-            by_path.get(path, ()), key=lambda v: (v.line, v.col, v.rule)
-        )
-        kept, used = _apply_waivers(
-            found, lines, _RACE_WAIVE_RE, _RACE_CODE_RE
-        )
-        violations.extend(kept)
-        for lineno, codes in sorted(
-            _waiver_comment_lines(source, _RACE_WAIVE_RE, _RACE_CODE_RE).items()
-        ):
-            if lineno not in used:
-                stale.append(StaleWaiver(path, lineno, frozenset(codes)))
-    violations.extend(
-        sorted(
-            (v for v in raw if v.path not in {p for p, _, _ in parsed}),
-            key=lambda v: (v.path, v.line, v.rule),
-        )
-    )
-
+    violations, stale = settle_waivers(program, "race", raw)
     return CellAudit(
         violations=violations,
         stale_waivers=stale,
-        freshness=freshness,
-        n_files=len(files),
+        n_files=len(program.files),
+        freshness=registry_drift(note_sites, decls),
         n_roots=len(root_weight),
         n_writes=len(writes),
     )
 
 
+def audit_files(files: list[tuple[str, str]]) -> CellAudit:
+    """Run the shared-state audit over ``(path, source)`` pairs."""
+    return audit_program(Program(files))
+
+
 def audit_tree(paths: list[str]) -> CellAudit:
     """Audit every ``.py`` file under the given files/directories."""
-    return audit_files(read_sources(paths))
+    return audit_program(Program.from_paths(paths))
 
 
 def audit_source(source: str, path: str = "<string>") -> list[Violation]:

@@ -51,19 +51,11 @@ then behave as a plain per-function lint.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, module_matches, module_name_for
-from .linter import (
-    StaleWaiver,
-    _apply_waivers,
-    _waiver_comment_lines,
-    no_waiver,
-    read_sources,
-    scope_of,
-)
-from .rules import Violation
+from .callgraph import CallGraph, module_matches
+from .linter import Program, TreeLint, settle_waivers
+from .rules import ScopeWalker, Violation, name_chain, terminal_name
 
 __all__ = [
     "PERF_RULES",
@@ -112,9 +104,6 @@ DEFAULT_EXTRA_HOT = (
     "obs.spans",
 )
 
-_PERF_WAIVE_RE = re.compile(r"#\s*perf:\s*waive\b([^#\n]*)")
-_PERF_CODE_RE = re.compile(r"PERF\d{3}")
-
 #: call targets whose string arguments are metric/span/process labels
 _LABEL_SINKS = {
     "counter", "tally", "histogram", "get_series", "scope",
@@ -150,18 +139,9 @@ class _ClassInfo:
     known_bases: bool = True
 
 
-def _terminal_name(node: ast.expr) -> str | None:
-    """``C`` for ``C``; ``C`` for ``pkg.mod.C``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _is_slotted(node: ast.ClassDef) -> bool:
     for dec in node.decorator_list:
-        if isinstance(dec, ast.Call) and _terminal_name(dec.func) == "dataclass":
+        if isinstance(dec, ast.Call) and terminal_name(dec.func) == "dataclass":
             for kw in dec.keywords:
                 if (
                     kw.arg == "slots"
@@ -191,22 +171,21 @@ def _is_exceptionish(name: str, base_names: tuple[str, ...]) -> bool:
     return False
 
 
-def _scan_classes(parsed: list[tuple[str, str, ast.Module]]) -> dict[str, list[_ClassInfo]]:
+def _scan_classes(program: Program) -> dict[str, list[_ClassInfo]]:
     """Every class defined in the file set, keyed by bare name."""
     out: dict[str, list[_ClassInfo]] = {}
-    for path, _, tree in parsed:
-        module = module_name_for(path)
-        for node in ast.walk(tree):
+    for f in program.files:
+        for node in ast.walk(f.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             bases = tuple(
-                b for b in (_terminal_name(base) for base in node.bases)
+                b for b in (terminal_name(base) for base in node.bases)
                 if b is not None
             )
             info = _ClassInfo(
                 name=node.name,
-                module=module,
-                path=path,
+                module=f.module,
+                path=f.path,
                 line=node.lineno,
                 slotted=_is_slotted(node),
                 exceptionish=_is_exceptionish(node.name, bases),
@@ -309,22 +288,7 @@ def _is_label_expr(node: ast.expr) -> bool:
     return False
 
 
-def _attr_chain(node: ast.expr) -> tuple[str, int] | None:
-    """``("self.env.now", 2)`` for a pure Name.attr.attr chain."""
-    links = 0
-    cur = node
-    parts: list[str] = []
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        links += 1
-        cur = cur.value
-    if not isinstance(cur, ast.Name) or links == 0:
-        return None
-    parts.append(cur.id)
-    return ".".join(reversed(parts)), links
-
-
-class _PerfVisitor(ast.NodeVisitor):
+class _PerfVisitor(ScopeWalker):
     """PERF101–PERF105 over one module, restricted to hot functions."""
 
     def __init__(
@@ -335,15 +299,14 @@ class _PerfVisitor(ast.NodeVisitor):
         slotless: dict[str, _ClassInfo],
         list_attrs: set[str],
     ):
+        super().__init__()
         self.path = path
         self.hot_quals = hot_quals
         self.all_hot = all_hot
         self.slotless = slotless  # churned, slot-eligible classes by name
         self.list_attrs = list_attrs
         self.violations: list[Violation] = []
-        self._class_stack: list[str] = []
-        #: (qualname, is_hot) of the enclosing *top-level* function
-        self._func_stack: list[tuple[str, bool]] = []
+        self._hot = False  # the enclosing top-level function is hot
         self._loop_depth = 0
         self._local_lists: set[str] = set()
         #: ids of lambdas in default-argument position (built once at
@@ -363,19 +326,10 @@ class _PerfVisitor(ast.NodeVisitor):
         )
 
     @property
-    def _hot(self) -> bool:
-        return bool(self._func_stack) and self._func_stack[-1][1]
-
-    @property
     def _func_name(self) -> str:
-        return self._func_stack[-1][0].rsplit(".", 1)[-1] if self._func_stack else ""
+        return self.qual.rsplit(".", 1)[-1]
 
     # -- structure --------------------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
     def _note_default_lambdas(self, node) -> None:
         for default in (*node.args.defaults, *node.args.kw_defaults):
             if default is None:
@@ -384,31 +338,27 @@ class _PerfVisitor(ast.NodeVisitor):
                 if isinstance(sub, ast.Lambda):
                     self._default_lambdas.add(id(sub))
 
-    def _visit_func(self, node) -> None:
+    def function(self, node) -> None:
         self._note_default_lambdas(node)
-        if self._func_stack:
-            # Nested def inside a hot function: a per-call closure.
-            if self._hot:
-                self._emit(
-                    "PERF102", node,
-                    f"nested def {node.name!r} is created on every call",
-                )
-            # Its body still runs on the hot path — keep visiting with
-            # the enclosing function's hotness.
-            self.generic_visit(node)
-            return
-        qual = ".".join([*self._class_stack, node.name])
-        hot = (
-            self.all_hot or qual in self.hot_quals
+        self._hot = (
+            self.all_hot or self.qual in self.hot_quals
         ) and node.name not in _SETUP_EXEMPT
-        self._func_stack.append((qual, hot))
         saved_lists = self._local_lists
         self._local_lists = set()
         self.generic_visit(node)
         self._local_lists = saved_lists
-        self._func_stack.pop()
+        self._hot = False
 
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_func
+    def nested_def(self, node) -> None:
+        # A per-call closure when the enclosing function is hot; its
+        # body still runs on the hot path, with the enclosing hotness.
+        self._note_default_lambdas(node)
+        if self._hot:
+            self._emit(
+                "PERF102", node,
+                f"nested def {node.name!r} is created on every call",
+            )
+        self.generic_visit(node)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._note_default_lambdas(node)
@@ -492,19 +442,15 @@ class _PerfVisitor(ast.NodeVisitor):
                     continue
                 if id(n) in seen:
                     continue
-                chain = _attr_chain(n)
+                chain = name_chain(n)
                 if chain is None:
                     continue
-                dotted, links = chain
                 # Mark sub-chains visited so a.b.c doesn't also count a.b.
                 for sub in ast.walk(n):
                     seen.add(id(sub))
-                if links < 2:
+                if len(chain) < 3 or chain[0] in rebound or chain[0] == "_":
                     continue
-                root = dotted.split(".", 1)[0]
-                if root in rebound or root == "_":
-                    continue
-                counts.setdefault(dotted, []).append(n)
+                counts.setdefault(".".join(chain), []).append(n)
         for dotted, nodes in counts.items():
             if len(nodes) >= 2:
                 self._emit(
@@ -515,7 +461,7 @@ class _PerfVisitor(ast.NodeVisitor):
     # -- calls: PERF101/103/105 ---------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         if self._hot:
-            name = _terminal_name(node.func)
+            name = terminal_name(node.func)
             # PERF101: churned slotless class instantiation
             if (
                 isinstance(node.func, (ast.Name, ast.Attribute))
@@ -633,13 +579,13 @@ class _PerfVisitor(ast.NodeVisitor):
 # list-attribute inventory (PERF105 membership on self.<attr>)
 # ---------------------------------------------------------------------------
 
-def _scan_list_attrs(parsed: list[tuple[str, str, ast.Module]]) -> set[str]:
+def _scan_list_attrs(program: Program) -> set[str]:
     """Attribute names bound to lists (``self.x = []``) and never to a
     different container anywhere in the file set."""
     listish: set[str] = set()
     otherish: set[str] = set()
-    for _, _, tree in parsed:
-        for node in ast.walk(tree):
+    for f in program.files:
+        for node in ast.walk(f.tree):
             if isinstance(node, ast.Assign):
                 targets, value, ann = node.targets, node.value, None
             elif isinstance(node, ast.AnnAssign):
@@ -672,32 +618,19 @@ def _scan_list_attrs(parsed: list[tuple[str, str, ast.Module]]) -> set[str]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PerfLint:
+class PerfLint(TreeLint):
     """The result of a ``--perf`` pass over one file set."""
 
-    violations: list[Violation]
-    stale_waivers: list[StaleWaiver]
-    n_files: int
     n_hot: int
     all_hot: bool
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations and not self.stale_waivers
 
-
-def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
-    """Run the hot-path analyzer over ``(path, source)`` pairs."""
-    parsed: list[tuple[str, str, ast.Module]] = []
-    for path, source in files:
-        parsed.append((path, source, ast.parse(source, filename=path)))
-
-    graph = CallGraph.build(
-        (path, tree, scope_of(path), no_waiver) for path, _, tree in parsed
-    )
-    classes = _scan_classes(parsed)
+def perf_program(program: Program) -> PerfLint:
+    """Run the hot-path analyzer over a parsed file set."""
+    graph = program.graph
+    classes = _scan_classes(program)
     hot, churned, all_hot = _hot_set(graph, classes)
-    list_attrs = _scan_list_attrs(parsed)
+    list_attrs = _scan_list_attrs(program)
 
     # PERF101 candidates: churned classes that could take __slots__.
     slotless: dict[str, _ClassInfo] = {}
@@ -712,43 +645,30 @@ def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
         info = graph.functions[key]
         hot_by_path.setdefault(info.path, set()).add(info.qualname)
 
-    violations: list[Violation] = []
-    stale: list[StaleWaiver] = []
-    for path, source, tree in parsed:
+    # Dedupe per file (nested loops can re-count the same chain).
+    found: dict[tuple, Violation] = {}
+    for f in program.files:
         visitor = _PerfVisitor(
-            path,
-            hot_by_path.get(path, set()),
-            all_hot,
-            slotless,
-            list_attrs,
+            f.path, hot_by_path.get(f.path, set()), all_hot, slotless, list_attrs
         )
-        visitor.visit(tree)
-        lines = source.splitlines()
-        found = visitor.violations
-        # Dedupe (nested loops can re-count the same chain).
-        unique: dict[tuple, Violation] = {}
-        for v in found:
-            unique.setdefault((v.rule, v.line, v.col), v)
-        kept, used = _apply_waivers(
-            sorted(unique.values(), key=lambda v: (v.line, v.col, v.rule)),
-            lines,
-            _PERF_WAIVE_RE,
-            _PERF_CODE_RE,
-        )
-        violations.extend(kept)
-        for lineno, codes in sorted(
-            _waiver_comment_lines(source, _PERF_WAIVE_RE, _PERF_CODE_RE).items()
-        ):
-            if lineno not in used:
-                stale.append(StaleWaiver(path, lineno, frozenset(codes)))
+        visitor.visit(f.tree)
+        for v in visitor.violations:
+            found.setdefault((v.path, v.rule, v.line, v.col), v)
+    violations, stale = settle_waivers(program, "perf", found.values())
     return PerfLint(
-        violations, stale, n_files=len(files), n_hot=len(hot), all_hot=all_hot
+        violations, stale, n_files=len(program.files), n_hot=len(hot),
+        all_hot=all_hot,
     )
+
+
+def perf_lint_files(files: list[tuple[str, str]]) -> PerfLint:
+    """Run the hot-path analyzer over ``(path, source)`` pairs."""
+    return perf_program(Program(files))
 
 
 def perf_lint_tree(paths: list[str]) -> PerfLint:
     """Analyze every ``.py`` file under the given files/directories."""
-    return perf_lint_files(read_sources(paths))
+    return perf_program(Program.from_paths(paths))
 
 
 def perf_lint_source(source: str, path: str = "<string>") -> list[Violation]:

@@ -183,12 +183,32 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
 
+def name_chain(node: ast.expr) -> list[str] | None:
+    """``["a", "b", "c"]`` for ``a.b.c``; None unless the chain is
+    rooted at a bare name."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    parts.reverse()
+    return parts
+
+
 def _root_name(node: ast.expr) -> str | None:
     """The leftmost name of an attribute chain (``a`` for ``a.b.c``)."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
+    chain = name_chain(node)
+    return chain[0] if chain else None
+
+
+def terminal_name(node: ast.expr) -> str | None:
+    """``C`` for ``C`` and for ``pkg.mod.C``."""
     if isinstance(node, ast.Name):
         return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return None
 
 
@@ -349,6 +369,7 @@ class SetOrderWalker(ast.NodeVisitor):
     """
 
     def __init__(self, module: str):
+        super().__init__()
         self.module = module
         #: local alias -> dotted target ("np" -> "numpy")
         self.imports: dict[str, str] = {}
@@ -399,6 +420,80 @@ class SetOrderWalker(ast.NodeVisitor):
         ):
             self.iterated(node.args[0], None)
         self.generic_visit(node)
+
+
+class ScopeWalker(ast.NodeVisitor):
+    """Where a walk is: the class stack, the enclosing top-level
+    function and the method's ``self`` name.
+
+    Every whole-program scanner keys its facts by the call graph's
+    function qualnames, so they share this one notion of scope.  A def
+    nested in a function belongs to the enclosing *top-level* function
+    (``qual``); the ``self`` name is the first positional parameter of
+    a function defined directly in a class (a static method has none),
+    and nothing elsewhere.  Subclasses hook :meth:`function` (a
+    top-level def, with the scope set) and :meth:`nested_def`; both
+    must visit the body.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.class_stack: list[str] = []
+        self.qual = ""  #: enclosing top-level function ("" at module level)
+        self.self_name: str | None = None
+
+    @property
+    def klass(self) -> str:
+        return self.class_stack[-1] if self.class_stack else ""
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.class_stack.append(node.name)
+        self.generic_visit(node)
+        self.class_stack.pop()
+
+    def _visit_def(self, node) -> None:
+        if self.qual:
+            self.nested_def(node)
+            return
+        args = [*node.args.posonlyargs, *node.args.args]
+        self.qual = ".".join([*self.class_stack, node.name])
+        if args and self.class_stack and not any(
+            terminal_name(d) == "staticmethod" for d in node.decorator_list
+        ):
+            self.self_name = args[0].arg
+        self.function(node)
+        self.qual, self.self_name = "", None
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_def
+
+    def function(self, node) -> None:
+        self.generic_visit(node)
+
+    def nested_def(self, node) -> None:
+        self.generic_visit(node)
+
+    def is_self(self, node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and node.id == self.self_name
+
+    def self_chain(self, node: ast.expr) -> str | None:
+        """The attribute chain below ``self`` (``"x"``, ``"x.y"``)."""
+        chain = name_chain(node)
+        if chain and len(chain) > 1 and chain[0] == self.self_name:
+            return ".".join(chain[1:])
+        return None
+
+    def reference(self, node: ast.expr) -> tuple | None:
+        """How the call graph names the function ``node`` denotes:
+        ``("name", f)``, ``("self", class, method)`` or ``("dotted",
+        chain)``; None for anything not rooted at a bare name."""
+        chain = name_chain(node)
+        if chain is None:
+            return None
+        if len(chain) == 1:
+            return ("name", chain[0])
+        if len(chain) == 2 and chain[0] == self.self_name:
+            return ("self", self.klass, chain[1])
+        return ("dotted", tuple(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +631,7 @@ def _element_aliases(
 
 
 def _decorator_name(dec: ast.expr) -> str | None:
-    if isinstance(dec, ast.Call):
-        dec = dec.func
-    if isinstance(dec, ast.Name):
-        return dec.id
-    if isinstance(dec, ast.Attribute):
-        return dec.attr
-    return None
+    return terminal_name(dec.func if isinstance(dec, ast.Call) else dec)
 
 
 class _RecordFields:

@@ -42,14 +42,12 @@ consuming loop.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
-from typing import Iterable
 
 from .callgraph import CallGraph, FunctionInfo
 from .rules import Violation
 
-__all__ = ["FunctionTaint", "build_graph", "propagate", "taint_violations"]
+__all__ = ["FunctionTaint", "propagate", "taint_violations"]
 
 
 @dataclass(frozen=True)
@@ -59,29 +57,6 @@ class FunctionTaint:
     rule: str  #: underlying primitive rule (SIM001/002/003/004/007)
     kind: str  #: e.g. ``"wall-clock read time.time"``
     chain: tuple[str, ...]  #: qualnames from this function down to the source
-
-
-def build_graph(files: Iterable[tuple[str, str]]) -> CallGraph:
-    """Parse ``(path, source)`` pairs into a :class:`CallGraph`.
-
-    Waiver detection and scope classification use the same rules as the
-    per-file linter, so a waived primitive never becomes a taint source.
-    """
-    from .linter import scope_of, waived_at
-
-    entries = []
-    for path, source in files:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        lines = source.splitlines()
-
-        def waived(line, rule, _lines=lines):
-            return waived_at(_lines, line, rule)
-
-        entries.append((path, tree, scope_of(path), waived))
-    return CallGraph.build(entries)
 
 
 def propagate(graph: CallGraph) -> dict[str, dict[str, FunctionTaint]]:
@@ -284,9 +259,7 @@ def taint_violations(
                         ),
                     )
                 )
-            for pos, _param in (
-                (i, None) for i in call.set_args
-            ):
+            for pos in call.set_args:
                 if (
                     pos < len(callee.params)
                     and callee.params[pos] in callee.iterated_params
@@ -311,24 +284,3 @@ def taint_violations(
                     )
     out.sort(key=lambda v: (v.path, v.line, v.col))
     return out
-
-
-def module_taint_violations(
-    source: str, path: str, scope: str
-) -> list[Violation]:
-    """Single-module taint (the :func:`..linter.lint_source` hook).
-
-    Catches same-file helper indirection; the cross-module pass in
-    ``repro check --taint`` subsumes this over a whole tree.
-    """
-    from .linter import waived_at
-
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []
-    lines = source.splitlines()
-    graph = CallGraph.build(
-        [(path, tree, scope, lambda line, rule: waived_at(lines, line, rule))]
-    )
-    return taint_violations(graph)

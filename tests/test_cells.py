@@ -199,6 +199,32 @@ class TestRegistryRoundTrip:
             assert os.path.exists(os.path.join(SRC_ROOT, rel)), decl.component
 
 
+class TestSelfName:
+    """Only a method's first parameter names ``self``: a free function's
+    parameter is just an object, so its stores feed no class's cells."""
+
+    _SUBCLASS = (
+        "class Worker:\n"
+        "    def __init__(self, env, wid):\n"
+        "        self.env = env\n"
+        "        self._cell = f\"worker.w{wid}\"\n\n\n"
+        "class Sub(Worker):\n"
+        "    def step(self):\n"
+        "        self.env.note_access(self._cell, \"w\")\n"
+    )
+    _FREE = "\n\ndef relabel(obj):\n    obj._cell = \"other.cell\"\n"
+
+    def _families(self, source):
+        (site,) = extract_note_sites([("mod.py", ast.parse(source))])
+        return [shape.render() for shape in site.shapes]
+
+    def test_subclass_resolves_the_base_store(self):
+        assert self._families(self._SUBCLASS) == ["worker.w<…>"]
+
+    def test_free_function_parameter_is_not_self(self):
+        assert self._families(self._SUBCLASS + self._FREE) == ["worker.w<…>"]
+
+
 # ---------------------------------------------------------------------------
 # The repo gate: the tree audits clean, and the gate actually has teeth.
 # ---------------------------------------------------------------------------
