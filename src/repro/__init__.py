@@ -15,14 +15,11 @@ Two execution modes share the HVAC core logic:
 Quick start::
 
     from repro.simcore import Environment
-    from repro.cluster import Allocation, SUMMIT
-    from repro.storage import GPFS
-    from repro.core import HVACDeployment
+    from repro.cluster import SUMMIT
+    from repro.baselines import build_hvac
 
     env = Environment()
-    alloc = Allocation(env, SUMMIT, n_nodes=8)
-    pfs = GPFS(env, SUMMIT.pfs, 8, SUMMIT.network.nic_bandwidth)
-    hvac = HVACDeployment(alloc, pfs)
+    hvac = build_hvac(env, SUMMIT, n_nodes=8)  # .allocation, .pfs, .metrics
 
 See ``examples/`` and DESIGN.md for the full tour.
 """

@@ -8,6 +8,8 @@ from .setups import (
     StorageSetup,
     SystemHandle,
     XFSSetup,
+    build_allocation,
+    build_hvac,
 )
 
 __all__ = [
@@ -18,4 +20,6 @@ __all__ = [
     "SystemHandle",
     "SYSTEM_SETUPS",
     "XFSSetup",
+    "build_allocation",
+    "build_hvac",
 ]

@@ -13,6 +13,10 @@ Each setup builds one of the systems the paper compares —
 — behind one interface: ``backend_for_node(node_id) -> FileBackend``.
 Experiments and benchmarks construct a setup, hand its backends to a
 :class:`~repro.dl.training.TrainingJob`, and read the metrics back.
+
+:func:`build_hvac` is the one place an HVAC system is assembled (the
+setups here, the mode-comparison rig, the Fig 13 driver and the fuzz
+executor all call it); :func:`build_allocation` is its nodes-only part.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Optional
 from ..cluster import Allocation, ClusterSpec
 from ..core import HVACDeployment
 from ..dl.dataset import SyntheticDataset
-from ..simcore import Environment, MetricRegistry, RandomStreams
+from ..simcore import Environment, MetricRegistry, RandomStreams, run_all
 from ..storage import GPFS, FileBackend, LocalFS
 
 __all__ = [
@@ -35,6 +39,8 @@ __all__ = [
     "HVACSetup",
     "LPCCLikeSetup",
     "SYSTEM_SETUPS",
+    "build_allocation",
+    "build_hvac",
 ]
 
 
@@ -85,6 +91,48 @@ def _make_pfs(
     )
 
 
+def build_allocation(
+    env: Environment, spec: ClusterSpec, n_nodes: int, seed: int = 0
+) -> Allocation:
+    """The job's nodes and fabric on a fresh registry, drawing from the
+    seed's ``"cluster"`` stream."""
+    return Allocation(env, spec, n_nodes, rand=RandomStreams(seed).child("cluster"))
+
+
+def build_hvac(
+    env: Environment,
+    spec: ClusterSpec,
+    n_nodes: int,
+    seed: int = 0,
+    *,
+    spans=None,
+    local_fraction: Optional[float] = None,
+) -> HVACDeployment:
+    """One HVAC system: its allocation, the GPFS behind it and the
+    deployment, all on the allocation's registry (``dep.metrics``).
+
+    ``spans`` is the deployment's span recorder.  ``local_fraction``
+    instead pins that share of files to the reading node, recording no
+    spans (:meth:`HVACDeployment.with_locality_split`: Fig 13 and LPCC).
+    """
+    alloc = build_allocation(env, spec, n_nodes, seed)
+    pfs = _make_pfs(env, spec, n_nodes, alloc.metrics)
+    if local_fraction is None:
+        return HVACDeployment(alloc, pfs, seed=seed, spans=spans)
+    return HVACDeployment.with_locality_split(alloc, pfs, local_fraction, seed=seed)
+
+
+def _hvac_handle(label: str, dep: HVACDeployment) -> SystemHandle:
+    return SystemHandle(
+        label=label,
+        backend_for_node=dep.client,
+        metrics=dep.metrics,
+        teardown=dep.teardown,
+        pfs=dep.pfs,
+        deployment=dep,
+    )
+
+
 class GPFSSetup(StorageSetup):
     """Direct PFS access — the paper's baseline."""
 
@@ -117,11 +165,8 @@ class XFSSetup(StorageSetup):
         self.instant_stage = instant_stage
 
     def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        metrics = MetricRegistry()
-        alloc = Allocation(
-            env, spec, n_nodes, metrics=metrics,
-            rand=RandomStreams(seed).child("cluster"),
-        )
+        alloc = build_allocation(env, spec, n_nodes, seed)
+        metrics = alloc.metrics
         backends = [
             LocalFS(env, node.node_id, node.nvme, metrics=metrics,
                     track_namespace=False)
@@ -160,16 +205,8 @@ class XFSSetup(StorageSetup):
                 yield from fs.device.write(size)
 
         def run() -> float:
-            from ..simcore import AllOf
-
-            t0 = env.now
             procs = [env.process(node_stage(n)) for n in range(n_nodes)]
-
-            def wait():
-                yield AllOf(env, procs)
-
-            env.run(env.process(wait(), name="xfs.stage"))
-            handle.stage_time = env.now - t0
+            handle.stage_time = run_all(env, procs, "xfs.stage")
             return handle.stage_time
 
         return run
@@ -185,22 +222,8 @@ class HVACSetup(StorageSetup):
         self.label = f"HVAC({instances}x1)"
 
     def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        metrics = MetricRegistry()
         spec = spec.with_hvac(instances_per_node=self.instances)
-        alloc = Allocation(
-            env, spec, n_nodes, metrics=metrics,
-            rand=RandomStreams(seed).child("cluster"),
-        )
-        pfs = _make_pfs(env, spec, n_nodes, metrics)
-        dep = HVACDeployment(alloc, pfs, seed=seed, metrics=metrics)
-        return SystemHandle(
-            label=self.label,
-            backend_for_node=dep.client,
-            metrics=metrics,
-            teardown=dep.teardown,
-            pfs=pfs,
-            deployment=dep,
-        )
+        return _hvac_handle(self.label, build_hvac(env, spec, n_nodes, seed))
 
 
 class LPCCLikeSetup(StorageSetup):
@@ -215,23 +238,8 @@ class LPCCLikeSetup(StorageSetup):
     label = "LPCC-like"
 
     def build(self, env, spec, n_nodes, dataset, seed=0) -> SystemHandle:
-        metrics = MetricRegistry()
-        alloc = Allocation(
-            env, spec, n_nodes, metrics=metrics,
-            rand=RandomStreams(seed).child("cluster"),
-        )
-        pfs = _make_pfs(env, spec, n_nodes, metrics)
-        dep = HVACDeployment.with_locality_split(
-            alloc, pfs, local_fraction=1.0, seed=seed
-        )
-        return SystemHandle(
-            label=self.label,
-            backend_for_node=dep.client,
-            metrics=metrics,
-            teardown=dep.teardown,
-            pfs=pfs,
-            deployment=dep,
-        )
+        dep = build_hvac(env, spec, n_nodes, seed, local_fraction=1.0)
+        return _hvac_handle(self.label, dep)
 
 
 #: the paper's Fig 8 lineup

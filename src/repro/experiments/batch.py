@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..analysis import format_series
 from ..cluster import ClusterSpec, SUMMIT
 from ..dl import DatasetSpec, ModelSpec
-from .harness import Scale, run_training
+from .harness import Scale, resolve_setup, run_training
 
 __all__ = ["BatchSizeResult", "batch_size_scaling"]
 
@@ -55,8 +55,6 @@ def batch_size_scaling(
     spec: ClusterSpec = SUMMIT,
     systems: tuple[str, ...] = ("gpfs", "hvac1", "hvac2", "hvac4", "xfs"),
 ) -> BatchSizeResult:
-    from ..baselines import SYSTEM_SETUPS
-
     result = BatchSizeResult(
         model_name=model.name,
         n_nodes=n_nodes,
@@ -64,7 +62,7 @@ def batch_size_scaling(
         batch_sizes=list(batch_sizes),
     )
     for system in systems:
-        label = SYSTEM_SETUPS[system].label
+        label = resolve_setup(system).label
         series = []
         for batch in batch_sizes:
             res = run_training(

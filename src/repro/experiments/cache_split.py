@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis import format_table
-from ..cluster import Allocation, ClusterSpec, SUMMIT
-from ..core import HVACDeployment
+from ..baselines import build_hvac
+from ..cluster import ClusterSpec, SUMMIT
 from ..dl import DatasetSpec, ModelSpec, SyntheticDataset
-from ..simcore import AllOf, Environment, RandomStreams
-from ..storage import GPFS
+from ..simcore import Environment, RandomStreams, run_all
 from .harness import Scale
 
 __all__ = ["CacheSplitResult", "cache_split"]
@@ -81,16 +80,7 @@ def cache_split(
     for fraction in local_fractions:
         env = Environment()
         dataset, _ = SyntheticDataset.scaled(dataset_spec, sample, seed=seed)
-        alloc = Allocation(env, spec, n_nodes)
-        pfs = GPFS(
-            env,
-            spec.pfs,
-            n_client_nodes=n_nodes,
-            client_link_bandwidth=spec.network.nic_bandwidth,
-        )
-        dep = HVACDeployment.with_locality_split(
-            alloc, pfs, local_fraction=fraction, seed=seed
-        )
+        dep = build_hvac(env, spec, n_nodes, seed, local_fraction=fraction)
         rand = RandomStreams(seed)
         sim_batch = scale.sim_batch_size
 
@@ -108,15 +98,13 @@ def cache_split(
                     )
                 yield env.timeout(len(chunk) * per_sample_compute)
 
-        def epoch(e: int):
+        def epoch(e: int) -> float:
             procs = [
                 env.process(rank_epoch(r, e), name=f"r{r}") for r in range(n_ranks)
             ]
-            yield AllOf(env, procs)
+            return run_all(env, procs, "epoch")
 
-        env.run(env.process(epoch(0)))  # warm-up: populate the forced placement
-        t0 = env.now
-        env.run(env.process(epoch(1)))  # measured: fully cached
-        result.epoch_seconds.append(env.now - t0)
+        epoch(0)  # warm-up: populate the forced placement
+        result.epoch_seconds.append(epoch(1))  # measured: fully cached
         dep.teardown()
     return result

@@ -13,11 +13,11 @@ from __future__ import annotations
 import os
 
 from ..analysis import count_strip, degradation_dashboard, format_table
-from ..cluster import Allocation, ClusterSpec, TESTING
-from ..core import HVACDeployment
+from ..baselines import build_hvac
+from ..cluster import ClusterSpec, TESTING
+from ..faults import FAULT_SPEC_OVERRIDES
 from ..obs import compute_slo
-from ..simcore import AllOf, Environment, RandomStreams
-from ..storage import GPFS
+from ..simcore import Environment, run_all
 
 __all__ = [
     "Comparison",
@@ -40,17 +40,6 @@ __all__ = [
     "window_log",
 ]
 
-#: tightened RPC deadline so detection is fast relative to tiny files
-FAULT_SPEC_OVERRIDES = dict(
-    rpc_timeout=0.05,
-    rpc_max_retries=4,
-    rpc_backoff_base=1e-4,
-    rpc_backoff_cap=2e-3,
-    suspect_after=2,
-    probation_period=0.05,
-)
-
-
 def fault_spec(spec: ClusterSpec | None, **overrides) -> ClusterSpec:
     base = spec if spec is not None else TESTING
     return base.with_hvac(**{**FAULT_SPEC_OVERRIDES, **overrides})
@@ -64,28 +53,12 @@ def build(spec: ClusterSpec, n_nodes: int, seed: int, spans=None, trace=None,
         env.attach_trace(trace)
     if sanitizer is not None:
         env.attach_sanitizer(sanitizer)
-    alloc = Allocation(
-        env, spec, n_nodes=n_nodes, rand=RandomStreams(seed).child("cluster")
-    )
-    pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs, seed=seed, spans=spans)
-    return env, dep, pfs
+    dep = build_hvac(env, spec, n_nodes, seed, spans=spans)
+    return env, dep, dep.pfs
 
 
 def files(n_files: int, file_size: int) -> list[tuple[str, int]]:
     return [(f"/pfs/ds/f{i:04d}", file_size) for i in range(n_files)]
-
-
-def run_all(env, procs, name: str) -> float:
-    """Run until every process in ``procs`` ends, waiting in a process
-    named ``name``; returns the sim seconds that took."""
-    t0 = env.now
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait(), name=name))
-    return env.now - t0
 
 
 def epoch(env, dep, n_nodes: int, files) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..analysis import format_series, format_table
 from ..cluster import ClusterSpec, SUMMIT
 from ..dl import DatasetSpec, ModelSpec
-from .harness import Scale, run_training
+from .harness import Scale, resolve_setup, run_training
 
 __all__ = [
     "EpochScalingResult",
@@ -63,13 +63,11 @@ def epoch_scaling(
     reshuffle of a fully cached dataset); the paper's own Fig 11
     presents exactly this cold/warm decomposition.
     """
-    from ..baselines import SYSTEM_SETUPS
-
     result = EpochScalingResult(
         model_name=model.name, n_nodes=n_nodes, epoch_counts=list(epoch_counts)
     )
     for system in systems:
-        label = SYSTEM_SETUPS[system].label
+        label = resolve_setup(system).label
         res = run_training(system, model, dataset_spec, n_nodes, scale, spec=spec)
         result.total_minutes[label] = [
             res.extrapolate_total(e) / 60.0 for e in epoch_counts
@@ -119,11 +117,9 @@ def per_epoch_analysis(
     systems: tuple[str, ...] = ("gpfs", "hvac1", "hvac2", "hvac4", "xfs"),
 ) -> PerEpochResult:
     """Simulate ``epochs`` full epochs and decompose (paper: Eps=10)."""
-    from ..baselines import SYSTEM_SETUPS
-
     result = PerEpochResult(model_name=model.name, n_nodes=n_nodes, epochs=epochs)
     for system in systems:
-        label = SYSTEM_SETUPS[system].label
+        label = resolve_setup(system).label
         res = run_training(
             system,
             model,

@@ -19,7 +19,7 @@ from ..analysis import format_series
 from ..cluster import ClusterSpec, SUMMIT
 from ..dl import DatasetSpec, ModelSpec
 from ..model import AnalyticModel
-from .harness import Scale, repeat_training
+from .harness import Scale, repeat_training, resolve_setup
 
 __all__ = [
     "NodeScalingResult",
@@ -66,8 +66,6 @@ def node_scaling(
     batch_size: int = 0,
 ) -> NodeScalingResult:
     """Event-driven Fig 8 sweep (simulate cold+warm, extrapolate)."""
-    from ..baselines import SYSTEM_SETUPS
-
     result = NodeScalingResult(
         model_name=model.name,
         dataset_name=dataset_spec.name,
@@ -75,7 +73,7 @@ def node_scaling(
         node_counts=list(node_counts),
     )
     for system in systems:
-        label = SYSTEM_SETUPS[system].label if isinstance(system, str) else system.label
+        label = resolve_setup(system).label
         means, cis = [], []
         for n_nodes in node_counts:
             ci, _ = repeat_training(

@@ -13,7 +13,7 @@ package replaces both sides of that oracle:
   and re-probing.  No component ever reads another's health flag.
 """
 
-from .detector import FailureDetector
+from .detector import FAULT_SPEC_OVERRIDES, FailureDetector
 from .injector import Injector
 from .schedule import (
     FAULT_KINDS,
@@ -32,6 +32,7 @@ __all__ = [
     "degrade",
     "FailureDetector",
     "FAULT_KINDS",
+    "FAULT_SPEC_OVERRIDES",
     "FaultEvent",
     "FaultSchedule",
     "flaky_link",

@@ -21,7 +21,19 @@ from __future__ import annotations
 
 from ..simcore import Environment
 
-__all__ = ["FailureDetector"]
+__all__ = ["FAULT_SPEC_OVERRIDES", "FailureDetector"]
+
+#: ``HVACSpec`` overrides for fast detection: an RPC deadline and
+#: probation tight relative to tiny files (the fault experiments' and,
+#: with a shorter probation, the fuzzer's timing)
+FAULT_SPEC_OVERRIDES = dict(
+    rpc_timeout=0.05,
+    rpc_max_retries=4,
+    rpc_backoff_base=1e-4,
+    rpc_backoff_cap=2e-3,
+    suspect_after=2,
+    probation_period=0.05,
+)
 
 
 class FailureDetector:

@@ -37,18 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cluster import Allocation
+from ..baselines import build_hvac
 from ..core import HVACDeployment, client_key_order
 from ..obs import SLOReport, SpanRecorder, compute_slo
-from ..simcore import (
-    AllOf,
-    AnyOf,
-    Environment,
-    EventTrace,
-    Interrupt,
-    RandomStreams,
-)
-from ..storage import GPFS
+from ..simcore import AllOf, AnyOf, Environment, EventTrace, Interrupt, run_all
 from .invariants import InvariantConfig
 from .scenario import Scenario
 
@@ -260,13 +252,8 @@ def execute(
     if sanitizer is not None:
         env.attach_sanitizer(sanitizer)
 
-    alloc = Allocation(
-        env, spec, n_nodes=n_nodes,
-        rand=RandomStreams(scenario.seed).child("cluster"),
-    )
-    pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
     spans = SpanRecorder()
-    dep = HVACDeployment(alloc, pfs, seed=scenario.seed, spans=spans)
+    dep = build_hvac(env, spec, n_nodes, scenario.seed, spans=spans)
 
     files = scenario.files()
     if dep.repair is not None:
@@ -334,17 +321,11 @@ def execute(
             return  # deadline watchdog gave up on this epoch
 
     def warm_epoch() -> float:
-        t0 = env.now
         procs = [
             env.process(reader(u, warmup=True), name=f"fuzz.warm.{u.label}")
             for u in units
         ]
-
-        def wait():
-            yield AllOf(env, procs)
-
-        env.run(env.process(wait(), name="fuzz.warm"))
-        return env.now - t0
+        return run_all(env, procs, "fuzz.warm")
 
     def epoch(label: str, deadline: float) -> EpochResult:
         t0 = env.now
@@ -371,11 +352,7 @@ def execute(
                     procs[u.key].interrupt("epoch deadline")
             alive = [p for p in procs.values() if p.is_alive]
             if alive:
-
-                def reap():
-                    yield AllOf(env, alive)
-
-                env.run(env.process(reap(), name=f"fuzz.{label}.reap"))
+                run_all(env, alive, f"fuzz.{label}.reap")
         return EpochResult(label, env.now - t0, deadline, tuple(hung))
 
     # 1: warm (fault-free, so it terminates without supervision)

@@ -30,7 +30,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from ..cluster import ClusterSpec, TESTING
-from ..faults import FaultEvent, FaultSchedule
+from ..faults import FAULT_SPEC_OVERRIDES, FaultEvent, FaultSchedule
 from ..simcore import RandomStreams
 
 __all__ = [
@@ -43,16 +43,9 @@ __all__ = [
 
 WORKLOAD_KINDS = ("uniform", "hotstorm", "thrash", "straggler")
 
-#: fast-detection RPC + membership timing shared by every scenario (the
-#: resilience/races experiments' values, so fuzz findings transfer)
-BASE_OVERRIDES = dict(
-    rpc_timeout=0.05,
-    rpc_max_retries=4,
-    rpc_backoff_base=1e-4,
-    rpc_backoff_cap=2e-3,
-    suspect_after=2,
-    probation_period=0.02,
-)
+#: fast-detection RPC timing shared by every scenario: the fault
+#: experiments' values, so fuzz findings transfer, with a shorter probation
+BASE_OVERRIDES = {**FAULT_SPEC_OVERRIDES, "probation_period": 0.02}
 MEMBERSHIP_OVERRIDES = dict(
     membership_enabled=True,
     remap_enabled=True,

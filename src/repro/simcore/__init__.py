@@ -11,6 +11,7 @@ from .engine import (
     SimulationError,
     StopProcess,
     Timeout,
+    run_all,
 )
 from .cells import cell_name
 from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Series, Tally
@@ -41,6 +42,7 @@ __all__ = [
     "PriorityStore",
     "Process",
     "RandomStreams",
+    "run_all",
     "cell_name",
     "Resource",
     "Series",

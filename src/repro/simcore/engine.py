@@ -39,6 +39,7 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "StopProcess",
+    "run_all",
 ]
 
 # Event state markers (kept as module-level singletons for cheap checks).
@@ -659,3 +660,15 @@ class Environment:
         if self._queue and stop_at != float("inf"):
             self._now = stop_at
         return None
+
+
+def _wait_all(env: Environment, procs: list) -> Generator:
+    yield AllOf(env, procs)
+
+
+def run_all(env: Environment, procs: list, name: str) -> float:
+    """Run until every process in ``procs`` ends, waiting in a process
+    named ``name``; returns the sim seconds that took."""
+    t0 = env.now
+    env.run(env.process(_wait_all(env, procs), name=name))
+    return env.now - t0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator
 
-from ..simcore import AllOf, Environment
+from ..simcore import Environment, run_all
 from ..storage.base import FileBackend
 
 __all__ = ["MDTestConfig", "MDTestResult", "run_mdtest"]
@@ -93,12 +93,7 @@ def run_mdtest(
     procs = [
         env.process(rank_proc(r), name=f"mdtest.r{r}") for r in range(config.n_ranks)
     ]
-
-    def driver() -> Generator:
-        yield AllOf(env, procs)
-
-    env.run(env.process(driver(), name="mdtest"))
-    elapsed = env.now - t0
+    elapsed = run_all(env, procs, "mdtest")
     return MDTestResult(
         config=config,
         system_label=system_label,
