@@ -13,15 +13,10 @@ Two design choices DESIGN.md calls out:
 import pytest
 
 from repro.analysis import format_table, gini
-from repro.cluster import Allocation, TESTING
-from repro.core import (
-    ConsistentHashPlacement,
-    HVACDeployment,
-    ModuloPlacement,
-    placement_histogram,
-)
+from repro.baselines import build_hvac
+from repro.cluster import TESTING
+from repro.core import ConsistentHashPlacement, ModuloPlacement, placement_histogram
 from repro.simcore import Environment
-from repro.storage import GPFS
 
 
 def _run_hash_comparison():
@@ -41,9 +36,7 @@ def _run_replication():
     for repl in (1, 2):
         env = Environment()
         spec = TESTING.with_hvac(replication_factor=repl)
-        alloc = Allocation(env, spec, n_nodes=4)
-        pfs = GPFS(env, spec.pfs, 4, spec.network.nic_bandwidth)
-        dep = HVACDeployment(alloc, pfs)
+        dep = build_hvac(env, spec, 4)
         files = [(f"/d/f{i}", 20_000) for i in range(40)]
 
         def epoch(results_out):

@@ -10,11 +10,11 @@ the warm steady state.
 import pytest
 
 from repro.analysis import format_table
-from repro.cluster import Allocation, SUMMIT
-from repro.core import CachePrefetcher, HVACDeployment
+from repro.baselines import build_hvac
+from repro.cluster import SUMMIT
+from repro.core import CachePrefetcher
 from repro.dl import IMAGENET21K, RESNET50, SyntheticDataset, TrainingConfig, TrainingJob
 from repro.simcore import Environment
-from repro.storage import GPFS
 
 from conftest import bench_scale
 
@@ -28,9 +28,7 @@ def _run():
     def training(prefetch: bool):
         env = Environment()
         dataset, factor = SyntheticDataset.scaled(IMAGENET21K, sample)
-        alloc = Allocation(env, SUMMIT, n_nodes)
-        pfs = GPFS(env, SUMMIT.pfs, n_nodes, SUMMIT.network.nic_bandwidth)
-        dep = HVACDeployment(alloc, pfs)
+        dep = build_hvac(env, SUMMIT, n_nodes)
         prefetch_time = 0.0
         if prefetch:
             pre = CachePrefetcher(

@@ -12,10 +12,9 @@ load balance under a skewed dataset.
 import pytest
 
 from repro.analysis import format_table, gini
-from repro.cluster import Allocation, SUMMIT
-from repro.core import HVACDeployment
-from repro.simcore import AllOf, Environment
-from repro.storage import GPFS
+from repro.baselines import build_hvac
+from repro.cluster import SUMMIT
+from repro.simcore import Environment, run_all
 
 
 def _read_all(env, dep, files, n_nodes):
@@ -24,14 +23,8 @@ def _read_all(env, dep, files, n_nodes):
         for path, size in files:
             yield from cli.read_file(path, size, node)
 
-    t0 = env.now
     procs = [env.process(reader(n)) for n in range(n_nodes)]
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait()))
-    return env.now - t0
+    return run_all(env, procs, "sweep")
 
 
 def _run():
@@ -48,9 +41,7 @@ def _run():
     ):
         env = Environment()
         spec = SUMMIT.with_hvac(**hvac_kw)
-        alloc = Allocation(env, spec, n_nodes)
-        pfs = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-        dep = HVACDeployment(alloc, pfs)
+        dep = build_hvac(env, spec, n_nodes)
         _read_all(env, dep, big_files, n_nodes)          # populate
         warm = _read_all(env, dep, big_files, n_nodes)   # measure
         loads = [s.cache.used_bytes for s in dep.servers]

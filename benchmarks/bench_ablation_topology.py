@@ -11,10 +11,9 @@ import dataclasses
 import pytest
 
 from repro.analysis import format_table
-from repro.cluster import Allocation, SUMMIT
-from repro.core import HVACDeployment
-from repro.simcore import AllOf, Environment
-from repro.storage import GPFS
+from repro.baselines import build_hvac
+from repro.cluster import SUMMIT
+from repro.simcore import Environment, run_all
 
 N_NODES = 16
 RACK = 4
@@ -34,20 +33,14 @@ def _spec(topology_aware: bool):
     )
 
 
-def _sweep(env, dep):
+def _sweep(env, dep, nodes=range(N_NODES)):
     def reader(node):
         cli = dep.client(node)
         for path, size in FILES:
             yield from cli.read_file(path, size, node)
 
-    t0 = env.now
-    procs = [env.process(reader(n)) for n in range(N_NODES)]
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait()))
-    return env.now - t0
+    procs = [env.process(reader(n)) for n in nodes]
+    return run_all(env, procs, "sweep")
 
 
 def _run():
@@ -55,9 +48,7 @@ def _run():
     for label, topo in (("hash-only replicas", False), ("topology-aware", True)):
         env = Environment()
         spec = _spec(topo)
-        alloc = Allocation(env, spec, N_NODES)
-        pfs = GPFS(env, spec.pfs, N_NODES, spec.network.nic_bandwidth)
-        dep = HVACDeployment(alloc, pfs)
+        dep = build_hvac(env, spec, N_NODES)
         _sweep(env, dep)  # populate
         before = dep.metrics.counter("fabric.inter_rack_transfers").value
         warm = _sweep(env, dep)
@@ -68,19 +59,7 @@ def _run():
         for node in range(RACK, 2 * RACK):
             dep.fail_node(node)
         fb_before = dep.metrics.counter("hvac.client_pfs_fallback").value
-        _sweep_nodes = [n for n in range(N_NODES) if not RACK <= n < 2 * RACK]
-
-        def reader(node):
-            cli = dep.client(node)
-            for path, size in FILES:
-                yield from cli.read_file(path, size, node)
-
-        procs = [env.process(reader(n)) for n in _sweep_nodes]
-
-        def wait():
-            yield AllOf(env, procs)
-
-        env.run(env.process(wait()))
+        _sweep(env, dep, [n for n in range(N_NODES) if not RACK <= n < 2 * RACK])
         fallbacks = dep.metrics.counter("hvac.client_pfs_fallback").value - fb_before
         out[label] = (warm, inter_rack, fallbacks)
         dep.teardown()

@@ -18,11 +18,10 @@ a health oracle.
 """
 
 from repro.analysis import format_table
-from repro.cluster import Allocation, SUMMIT
-from repro.core import HVACDeployment
+from repro.baselines import build_hvac
+from repro.cluster import SUMMIT
 from repro.faults import FaultSchedule, crash, flaky_link, hang
-from repro.simcore import Environment
-from repro.storage import GPFS
+from repro.simcore import Environment, run_all
 
 N_NODES = 8
 FILES = [(f"/gpfs/alpine/ds/f{i:03d}", 163_000) for i in range(200)]
@@ -40,23 +39,14 @@ def epoch(env, dep, tag):
         for path, size in FILES:
             yield from cli.read_file(path, size, node_id)
 
-    t0 = env.now
-
-    def run():
-        procs = [env.process(reader(n)) for n in range(N_NODES)]
-        for p in procs:
-            yield p
-
-    env.run(env.process(run()))
-    return env.now - t0
+    procs = [env.process(reader(n)) for n in range(N_NODES)]
+    return run_all(env, procs, tag)
 
 
 def scenario(replication: int):
     env = Environment()
     spec = SUMMIT.with_hvac(replication_factor=replication, **FAULTY_HVAC)
-    alloc = Allocation(env, spec, n_nodes=N_NODES)
-    pfs = GPFS(env, spec.pfs, N_NODES, spec.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs)
+    dep = build_hvac(env, spec, N_NODES)
 
     t_warmup = epoch(env, dep, "cold")
     t_healthy = epoch(env, dep, "warm")

@@ -14,12 +14,12 @@ Recreates how the paper describes HVAC entering a workload (§III-F):
 """
 
 from repro.analysis import format_kv, format_table
-from repro.cluster import Allocation, SUMMIT
-from repro.core import CachePrefetcher, HVACDeployment
+from repro.baselines import GPFSSetup, build_hvac
+from repro.cluster import SUMMIT
+from repro.core import CachePrefetcher
 from repro.dl import IMAGENET21K, SyntheticDataset
 from repro.posix import TracingBackend
-from repro.simcore import AllOf, Environment
-from repro.storage import GPFS
+from repro.simcore import Environment, run_all
 
 N_NODES = 8
 N_FILES = 600
@@ -35,14 +35,8 @@ def loader_epoch(env, dataset, backend_for_node, epoch=0):
             idx = int(idx)
             yield from backend.read_file(dataset.path(idx), dataset.size(idx), node_id)
 
-    t0 = env.now
     procs = [env.process(node_loader(n)) for n in range(N_NODES)]
-
-    def wait():
-        yield AllOf(env, procs)
-
-    env.run(env.process(wait()))
-    return env.now - t0
+    return run_all(env, procs, "epoch")
 
 
 def main() -> None:
@@ -50,7 +44,7 @@ def main() -> None:
 
     # -- 1. profile the loader against plain GPFS -------------------------
     env = Environment()
-    pfs = GPFS(env, SUMMIT.pfs, N_NODES, SUMMIT.network.nic_bandwidth)
+    pfs = GPFSSetup().build(env, SUMMIT, N_NODES, dataset).pfs
     traced = TracingBackend(env, pfs)
     loader_epoch(env, dataset, lambda n: traced)
     log = traced.log
@@ -66,18 +60,14 @@ def main() -> None:
 
     # -- 2. deploy HVAC, cold start -----------------------------------------
     env = Environment()
-    alloc = Allocation(env, SUMMIT, N_NODES)
-    pfs = GPFS(env, SUMMIT.pfs, N_NODES, SUMMIT.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs)
+    dep = build_hvac(env, SUMMIT, N_NODES)
     cold_e1 = loader_epoch(env, dataset, dep.client, epoch=0)
     warm = loader_epoch(env, dataset, dep.client, epoch=1)
     dep.teardown()
 
     # -- 3. deploy HVAC with prefetch ------------------------------------------
     env = Environment()
-    alloc = Allocation(env, SUMMIT, N_NODES)
-    pfs = GPFS(env, SUMMIT.pfs, N_NODES, SUMMIT.network.nic_bandwidth)
-    dep = HVACDeployment(alloc, pfs)
+    dep = build_hvac(env, SUMMIT, N_NODES)
     prefetcher = CachePrefetcher(dep, dataset.paths(), dataset.sizes)
     t0 = env.now
     env.run(prefetcher.start())

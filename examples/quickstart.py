@@ -9,28 +9,22 @@ cache's effect.  Everything is simulated — run it anywhere.
 """
 
 from repro.analysis import format_kv, format_table
-from repro.cluster import Allocation, SUMMIT
-from repro.core import HVACDeployment
-from repro.simcore import Environment
-from repro.storage import GPFS
+from repro.baselines import GPFSSetup, build_hvac
+from repro.cluster import SUMMIT
+from repro.simcore import Environment, run_all
 
 
-def read_dataset(env, backend_for_node, files, n_nodes, label, results):
-    """One 'epoch': every node reads every file (whole-file transactions)."""
+def read_dataset(env, backend_for_node, files, n_nodes):
+    """One 'epoch': every node reads every file (whole-file
+    transactions); returns its simulated seconds."""
 
     def node_reader(node_id):
         backend = backend_for_node(node_id)
         for path, size in files:
             yield from backend.read_file(path, size, node_id)
 
-    def epoch():
-        t0 = env.now
-        procs = [env.process(node_reader(n)) for n in range(n_nodes)]
-        for p in procs:
-            yield p
-        results.append((label, env.now - t0))
-
-    env.run(env.process(epoch()))
+    procs = [env.process(node_reader(n)) for n in range(n_nodes)]
+    return run_all(env, procs, "epoch")
 
 
 def main() -> None:
@@ -39,27 +33,21 @@ def main() -> None:
 
     # --- GPFS only: every epoch hits the parallel file system. -----------
     env = Environment()
-    pfs = GPFS(env, SUMMIT.pfs, n_nodes, SUMMIT.network.nic_bandwidth)
-    gpfs_times = []
-    for _ in range(3):
-        read_dataset(env, lambda n: pfs, files, n_nodes, "GPFS", gpfs_times)
+    gpfs = GPFSSetup().build(env, SUMMIT, n_nodes, dataset=None)
+    gpfs_times = [
+        read_dataset(env, gpfs.backend_for_node, files, n_nodes) for _ in range(3)
+    ]
 
     # --- With HVAC: epoch 1 populates node-local NVMe, the rest hit cache.
     # Four server instances per node — the paper's best configuration.
     env = Environment()
-    spec = SUMMIT.with_hvac(instances_per_node=4)
-    alloc = Allocation(env, spec, n_nodes=n_nodes)
-    pfs2 = GPFS(env, spec.pfs, n_nodes, spec.network.nic_bandwidth)
-    hvac = HVACDeployment(alloc, pfs2)
-    hvac_times = []
-    for _ in range(3):
-        read_dataset(env, hvac.client, files, n_nodes, "HVAC", hvac_times)
+    hvac = build_hvac(env, SUMMIT.with_hvac(instances_per_node=4), n_nodes)
+    hvac_times = [read_dataset(env, hvac.client, files, n_nodes) for _ in range(3)]
 
-    rows = []
-    for e in range(3):
-        g = gpfs_times[e][1]
-        h = hvac_times[e][1]
-        rows.append([f"epoch {e + 1}", g, h, g / h])
+    rows = [
+        [f"epoch {e + 1}", g, h, g / h]
+        for e, (g, h) in enumerate(zip(gpfs_times, hvac_times))
+    ]
     print(format_table(
         ["", "GPFS (s)", "HVAC (s)", "speedup"],
         rows,

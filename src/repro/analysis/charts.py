@@ -16,10 +16,6 @@ __all__ = ["ascii_chart"]
 _MARKERS = "ox+*#%@&"
 
 
-def _log_ticks(lo: float, hi: float) -> tuple[float, float]:
-    return math.log10(lo), math.log10(hi)
-
-
 def _fmt(v: float) -> str:
     if v == 0:
         return "0"

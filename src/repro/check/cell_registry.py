@@ -187,7 +187,7 @@ DECLARED_CELLS: tuple[CellDecl, ...] = (
     _decl(
         "cache.<name>",
         "core.cache",
-        ("_sizes", "_stored", "_used", "_raw_used"),
+        ("_sizes", "_stored", "_used"),
         "the byte budget couples entries: any insert can evict any path",
     ),
     _decl(

@@ -187,8 +187,6 @@ class HVACSpec:
     #: virtual nodes per server for consistent hashing
     consistent_vnodes: int = 64
     replication_factor: int = 1  # >1 enables §III-H replication
-    #: whether clients fail over to replicas when a server has failed
-    failover_enabled: bool = True
     #: segment-level caching for large files (§III-E / conclusion:
     #: "data layout options for large files across multiple nodes"):
     #: files above ``stripe_threshold`` are cached as independent
@@ -234,10 +232,6 @@ class HVACSpec:
     repair_enabled: bool = True
     #: repair throttle in bytes/s; 0 = unthrottled
     repair_bandwidth: float = 0.0
-    #: cap on RPC attempts per striped *segment* (0 = use
-    #: rpc_max_retries); segments give up early and count a
-    #: ``client_seg_fallbacks`` instead of burning the full backoff walk
-    segment_retry_budget: int = 0
     # -- clairvoyant prefetch & compressed tier (§IV-C future work) -----
     #: files staged ahead of each client's plan cursor (clairvoyant
     #: look-ahead staging, :class:`repro.prefetch.LookaheadScheduler`)
@@ -282,8 +276,6 @@ class HVACSpec:
             raise ValueError("suspect_to_dead must be >= 0")
         if self.repair_bandwidth < 0:
             raise ValueError("repair_bandwidth must be >= 0")
-        if self.segment_retry_budget < 0:
-            raise ValueError("segment_retry_budget must be >= 0")
         if self.prefetch_lookahead < 1:
             raise ValueError("prefetch_lookahead must be >= 1")
         if self.prefetch_outstanding < 1:

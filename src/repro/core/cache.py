@@ -216,7 +216,6 @@ class CacheManager:
         #: device-resident (possibly compressed) size per path
         self._stored: dict[str, int] = {}
         self._used = 0
-        self._raw_used = 0
         #: optional :class:`~repro.tenancy.TenantCacheArbiter`; when set
         #: it owns admission and victim selection on the insert path
         self.arbiter = None
@@ -235,17 +234,8 @@ class CacheManager:
         return self._used
 
     @property
-    def raw_bytes(self) -> int:
-        """Uncompressed bytes the residents represent."""
-        return self._raw_used
-
-    @property
     def n_files(self) -> int:
         return len(self._sizes)
-
-    def stored_size(self, path: str) -> int:
-        """Device-resident size of ``path`` (raises KeyError if absent)."""
-        return self._stored[path]
 
     def contents(self) -> list[tuple[str, int]]:
         """``(path, size)`` of every resident file, in sorted order —
@@ -307,7 +297,6 @@ class CacheManager:
         self._sizes[path] = size
         self._stored[path] = stored
         self._used += stored
-        self._raw_used += size
         self.policy.on_insert(path)
         if arb is not None:
             arb.on_insert(tenant, path, stored)
@@ -317,10 +306,9 @@ class CacheManager:
 
     def _evict(self, path: str) -> None:
         self.env.note_access(self._cell, "w")
-        size = self._sizes.pop(path)
+        del self._sizes[path]
         stored = self._stored.pop(path)
         self._used -= stored
-        self._raw_used -= size
         self.localfs.device.release(stored)
         self.policy.on_delete(path)
         if self.arbiter is not None:

@@ -208,13 +208,10 @@ class HVACClient(FileBackend):
         Liveness is pure client-side suspicion — observed timeouts and
         errors — never a peek at server state.
         """
-        order = self.replica_order(path)
-        if not self.spec.hvac.failover_enabled:
-            order = order[:1]
         view = self.view
         return [
             sid
-            for sid in order
+            for sid in self.replica_order(path)
             if self.detector.usable(sid)
             and (view is None or view.routable(sid))
         ]
@@ -335,8 +332,7 @@ class HVACClient(FileBackend):
         walks the detector-approved replicas; every retry path
         terminates in the PFS — a flapping server can cost at most
         ``rpc_max_retries`` strikes, never an unbounded recursion.
-        ``max_retries`` caps the walk below the spec default (per-segment
-        retry budgets).
+        ``max_retries`` overrides that attempt cap.
         """
         hvac = self.spec.hvac
         rec = self.spans
@@ -428,13 +424,11 @@ class HVACClient(FileBackend):
                 path=seg_path,
                 bytes=length,
             )
-        budget = self.spec.hvac.segment_retry_budget
         hit, route, failures = yield from self._forward_read(
             seg_path,
             length,
             client_node,
             parent=sp if sp is not None else root,
-            max_retries=budget if budget > 0 else None,
         )
         if hit is None:
             self._incr("client_seg_fallbacks")

@@ -9,7 +9,6 @@ from .engine import (
     Interrupt,
     Process,
     SimulationError,
-    StopProcess,
     Timeout,
     run_all,
 )
@@ -17,8 +16,8 @@ from .cells import cell_name
 from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Series, Tally
 from .profile import ComponentProfile, SimProfiler
 from .rand import RandomStreams, stable_hash64
-from .resources import Container, PriorityResource, Resource
-from .stores import FilterStore, PriorityStore, Store, StoreFull
+from .resources import Resource
+from .stores import Store
 from .trace import EventRecord, EventTrace, event_label
 
 __all__ = [
@@ -26,20 +25,16 @@ __all__ = [
     "AnyOf",
     "ComponentProfile",
     "Condition",
-    "Container",
     "Counter",
     "Environment",
     "Event",
     "EventRecord",
     "EventTrace",
     "event_label",
-    "FilterStore",
     "Histogram",
     "Interrupt",
     "MetricRegistry",
     "MetricScope",
-    "PriorityResource",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "run_all",
@@ -49,9 +44,7 @@ __all__ = [
     "SimProfiler",
     "SimulationError",
     "stable_hash64",
-    "StopProcess",
     "Store",
-    "StoreFull",
     "Tally",
     "Timeout",
 ]

@@ -38,7 +38,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "StopProcess",
     "run_all",
 ]
 
@@ -55,14 +54,6 @@ NORMAL = 1
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class StopProcess(Exception):
-    """Legacy-style early return from a process: ``raise StopProcess(v)``."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
 
 
 class Interrupt(Exception):
@@ -277,9 +268,9 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except (ValueError, AttributeError):
                 pass
-            # Waiting-list events (store gets/puts, container ops) must
-            # also leave their wait queue, or they become phantom
-            # consumers that swallow items nobody receives.
+            # A waiting store get must also leave its wait queue, or it
+            # becomes a phantom consumer that swallows an item nobody
+            # receives.
             withdraw = getattr(self._target, "_withdraw", None)
             if withdraw is not None:
                 withdraw()
@@ -294,9 +285,6 @@ class Process(Event):
                     exc = event._value
                     next_evt = self._generator.throw(type(exc), exc, None)
             except StopIteration as stop:
-                outcome, ok = stop.value, True
-                break
-            except StopProcess as stop:
                 outcome, ok = stop.value, True
                 break
             except BaseException as err:

@@ -1,13 +1,9 @@
-"""Shared-resource primitives for the simulation kernel.
+"""Shared-resource primitive for the simulation kernel.
 
-Provides the classic trio used throughout the HVAC models:
-
-* :class:`Resource` — ``capacity`` concurrent holders, FIFO queueing.
-  Models NVMe queue slots, MDS service threads, NIC DMA engines.
-* :class:`PriorityResource` — like :class:`Resource` but the wait queue
-  is ordered by a numeric priority (lower = sooner).
-* :class:`Container` — a continuous quantity (bytes of cache capacity).
-* :class:`Store` / :class:`PriorityStore` live in :mod:`.stores`.
+:class:`Resource` — ``capacity`` concurrent holders, FIFO queueing.
+Models NVMe queue slots, MDS service threads, NIC DMA engines and the
+HVAC data mover.  The server's FIFO of forwarded reads is a
+:class:`~.stores.Store`.
 
 Requests are events; the idiomatic usage mirrors SimPy::
 
@@ -19,17 +15,15 @@ Requests are events; the idiomatic usage mirrors SimPy::
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
-from typing import Any
 
 from .engine import _PENDING, NORMAL, Environment, Event, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Preempted", "Container"]
+__all__ = ["Resource"]
 
 
-class _BaseRequest(Event):
-    """Common machinery for resource requests: context-manager + cancel."""
+class Request(Event):
+    """A resource request: granted when it triggers, released on exit."""
 
     __slots__ = ("resource",)
 
@@ -43,7 +37,7 @@ class _BaseRequest(Event):
         self._defused = False
         self.resource = resource
 
-    def __enter__(self) -> "_BaseRequest":
+    def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
@@ -52,25 +46,6 @@ class _BaseRequest(Event):
     def cancel(self) -> None:
         """Release if held, or withdraw from the wait queue."""
         self.resource._cancel(self)
-
-
-class Request(_BaseRequest):
-    __slots__ = ()
-
-
-class Release(Event):
-    """Event for an explicit release; triggers immediately."""
-
-    __slots__ = ()
-
-
-class Preempted(Exception):
-    """Cause delivered when a preemptive resource evicts a holder."""
-
-    def __init__(self, by: Any, usage_since: float):
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
 
 
 class Resource:
@@ -115,13 +90,6 @@ class Resource:
             self.queue.append(req)
         return req
 
-    def release(self, request: Request) -> Release:
-        """Explicitly release a granted request."""
-        self._cancel(request)
-        rel = Release(self.env)
-        rel.succeed()
-        return rel
-
     # -- internals -----------------------------------------------------
     def _cancel(self, request: Request) -> None:
         if request in self.users:  # perf: waive PERF105 -- users is capacity-bounded (typically 1-8 holders)
@@ -138,134 +106,3 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-
-class _PriorityRequest(_BaseRequest):
-    __slots__ = ("priority", "_key")
-
-    def __init__(self, resource: "PriorityResource", priority: float):
-        super().__init__(resource)
-        self.priority = priority
-        self._key = (priority, next(resource._tiebreak))
-
-    def __lt__(self, other: "_PriorityRequest") -> bool:
-        return self._key < other._key
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest-priority-value-first."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._tiebreak = itertools.count()
-        self.queue = []  # heap of _PriorityRequest (heapq needs a list)
-
-    def request(self, priority: float = 0.0) -> _PriorityRequest:  # type: ignore[override]
-        req = _PriorityRequest(self, priority)
-        if len(self.users) < self._capacity:
-            self.users.append(req)
-            req.succeed()
-        else:
-            heapq.heappush(self.queue, req)
-        return req
-
-    def _cancel(self, request: _PriorityRequest) -> None:  # type: ignore[override]
-        if request in self.users:  # perf: waive PERF105 -- users is capacity-bounded (typically 1-8 holders)
-            self.users.remove(request)
-            self._grant_next()
-        else:
-            try:
-                self.queue.remove(request)
-                heapq.heapify(self.queue)
-            except ValueError:
-                pass
-
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            nxt = heapq.heappop(self.queue)
-            self.users.append(nxt)
-            nxt.succeed()
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous stock of some quantity, e.g. free bytes on an NVMe.
-
-    ``put(x)`` blocks while it would exceed ``capacity``; ``get(x)``
-    blocks while fewer than ``x`` units are available.  Waiters are
-    served FIFO but a blocked head-of-line request does not starve
-    later, satisfiable requests (bypass is intentional: cache inserts of
-    different sizes shouldn't convoy).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise SimulationError("capacity must be > 0")
-        if not 0 <= init <= capacity:
-            raise SimulationError("init must be within [0, capacity]")
-        self.env = env
-        self._capacity = float(capacity)
-        self._level = float(init)
-        self._puts: list[_ContainerPut] = []
-        self._gets: list[_ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> _ContainerPut:
-        if amount < 0:
-            raise SimulationError("amount must be >= 0")
-        evt = _ContainerPut(self.env, amount)
-        self._puts.append(evt)
-        self._settle()
-        return evt
-
-    def get(self, amount: float) -> _ContainerGet:
-        if amount < 0:
-            raise SimulationError("amount must be >= 0")
-        evt = _ContainerGet(self.env, amount)
-        self._gets.append(evt)
-        self._settle()
-        return evt
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for evt in list(self._puts):
-                if self._level + evt.amount <= self._capacity:
-                    self._level += evt.amount
-                    self._puts.remove(evt)
-                    evt.succeed()
-                    progressed = True
-            for evt in list(self._gets):
-                if evt.amount <= self._level:
-                    self._level -= evt.amount
-                    self._gets.remove(evt)
-                    evt.succeed(evt.amount)
-                    progressed = True

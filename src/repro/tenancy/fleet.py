@@ -79,9 +79,6 @@ class TenantFleet:
         """Bytes ``tenant_id`` has cached across every server."""
         return self.ledger.used_bytes(tenant_id)
 
-    def resident_files(self, tenant_id: int) -> int:
-        return self.ledger.used_files(tenant_id)
-
     def occupancy(self) -> dict[int, int]:
         """Per-tenant resident bytes (the partition table the report prints)."""
         return {tid: self.ledger.used_bytes(tid) for tid in sorted(self.tenants)}

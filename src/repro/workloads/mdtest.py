@@ -78,7 +78,6 @@ def run_mdtest(
     def rank_proc(rank: int) -> Generator:
         node_id = rank // config.ranks_per_node
         backend = backend_for_node(node_id)
-        pass_idx = 0
         while True:
             for i in range(config.files_per_rank):
                 path = f"/gpfs/mdtest/rank{rank}/file{i}"
@@ -86,7 +85,6 @@ def run_mdtest(
                 done_counts[rank] += 1
                 if deadline is not None and env.now >= deadline:
                     return
-            pass_idx += 1
             if deadline is None:
                 return
 

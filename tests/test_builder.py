@@ -23,7 +23,8 @@ from repro.faults import FAULT_SPEC_OVERRIDES
 from repro.fuzz.scenario import BASE_OVERRIDES
 from repro.simcore import Environment, run_all
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 SCALE = Scale().smaller()
 
 
@@ -123,8 +124,10 @@ ASSEMBLY = {"Allocation", "GPFS", "HVACDeployment"}
 
 
 def modules():
-    for path in sorted(SRC.rglob("*.py")):
-        yield path, ast.parse(path.read_text(encoding="utf-8"))
+    """The package plus the examples and benchmarks built on it."""
+    for top in (SRC, ROOT / "examples", ROOT / "benchmarks"):
+        for path in sorted(top.rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def called_name(call: ast.Call) -> str:
@@ -134,7 +137,7 @@ def called_name(call: ast.Call) -> str:
 
 def test_only_the_builder_assembles_a_system():
     found = [
-        f"{path.relative_to(SRC)}:{node.lineno} {called_name(node)}"
+        f"{path.relative_to(ROOT)}:{node.lineno} {called_name(node)}"
         for path, tree in modules()
         if path != BUILDER
         for node in ast.walk(tree)
@@ -161,9 +164,9 @@ def only_waits(func) -> bool:
 
 def test_only_the_kernel_run_all_waits():
     waits = [
-        (str(path.relative_to(SRC)), node.name)
+        (str(path.relative_to(ROOT)), node.name)
         for path, tree in modules()
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and only_waits(node)
     ]
-    assert waits == [("simcore/engine.py", "_wait_all")]
+    assert waits == [("src/repro/simcore/engine.py", "_wait_all")]

@@ -170,15 +170,6 @@ class TestFailover:
             assert s.cache.n_files == 0  # cold restart
         read_all(env, dep, FILES, [0])
 
-    def test_failover_disabled_goes_to_pfs(self):
-        env, dep, _ = build(n_nodes=4, replication_factor=2, failover_enabled=False)
-        read_all(env, dep, FILES, [0])
-        dep.fail_node(dep.placement.home(FILES[0][0]) // 1)
-        # With failover off, a dead primary means PFS fallback even
-        # though a replica exists.
-        read_all(env, dep, [FILES[0]], [0])
-        # (counted only if that file's primary was on the failed node)
-
 
 class TestTeardown:
     def test_teardown_purges_everything(self):

@@ -437,42 +437,3 @@ class TestCorrelatedFaults:
             FaultSchedule.random(
                 n_nodes=4, rack_size=2, rack_crash_rate=1.0, burst_spread=-1.0
             )
-
-
-# ---------------------------------------------------------------------------
-class TestSegmentRetryBudget:
-    STRIPED = dict(
-        membership_enabled=False,
-        stripe_large_files=True,
-        stripe_threshold=40_000,
-        stripe_segment=20_000,
-    )
-
-    def striped_read(self, budget):
-        env, dep, _ = build(
-            n_nodes=4, **{**self.STRIPED, "segment_retry_budget": budget}
-        )
-        run_epoch(env, dep, range(4), files=[("/big/f0", 80_000)])
-        dep.inject(FaultSchedule([crash(0.0, 1)]))
-        run_epoch(env, dep, [0], files=[("/big/f0", 80_000)])
-        m = dep.metrics
-        return (
-            m.counter("hvac.client_seg_fallbacks").value,
-            m.counter("hvac.client_retries").value,
-        )
-
-    def test_budget_caps_per_segment_walk(self):
-        fallbacks_budgeted, retries_budgeted = self.striped_read(budget=1)
-        fallbacks_default, retries_default = self.striped_read(budget=0)
-        # a one-attempt budget degrades the dead server's segments to
-        # the PFS immediately, where the default walk reaches the
-        # surviving replica instead — the budget trades bounded segment
-        # latency for extra fallbacks
-        assert fallbacks_budgeted >= 1
-        assert fallbacks_budgeted >= fallbacks_default
-        # ...and never enters the retry ladder
-        assert retries_budgeted < retries_default
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            TESTING.with_hvac(segment_retry_budget=-1)

@@ -1,5 +1,5 @@
-"""Remaining kernel branches: trigger propagation, defusing, priority
-stores with structured items, monitor reductions under load."""
+"""Remaining kernel branches: trigger propagation, defusing and run
+semantics."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.simcore import (
     AnyOf,
     Environment,
     Event,
-    PriorityResource,
-    PriorityStore,
     SimulationError,
 )
 
@@ -106,53 +104,6 @@ class TestEventPlumbing:
         env.process(late_failer())
         env.run()
         assert results == [["ok"]]
-
-
-class TestPriorityStructures:
-    def test_priority_store_tuples_stable(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def producer():
-            for prio, tag in [(2, "b1"), (1, "a"), (2, "b2")]:
-                yield store.put((prio, tag))
-
-        def consumer():
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item[1])
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert got == ["a", "b1", "b2"]  # priority then FIFO
-
-    def test_priority_resource_release_regrants_in_order(self):
-        env = Environment()
-        res = PriorityResource(env, capacity=2)
-        order = []
-
-        def holder(tag, hold):
-            with res.request(priority=0) as r:
-                yield r
-                yield env.timeout(hold)
-                order.append(("released", tag))
-
-        def waiter(tag, prio):
-            yield env.timeout(0.1)
-            with res.request(priority=prio) as r:
-                yield r
-                order.append(("granted", tag))
-
-        env.process(holder("h1", 1))
-        env.process(holder("h2", 2))
-        env.process(waiter("low", 5))
-        env.process(waiter("high", 1))
-        env.run()
-        granted = [t for kind, t in order if kind == "granted"]
-        assert granted == ["high", "low"]
 
 
 class TestRunSemantics:

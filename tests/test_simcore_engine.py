@@ -10,7 +10,6 @@ from repro.simcore import (
     Interrupt,
     Resource,
     SimulationError,
-    StopProcess,
 )
 
 
@@ -62,16 +61,6 @@ def test_process_return_value_via_run():
         return 42
 
     assert env.run(env.process(proc())) == 42
-
-
-def test_stopprocess_return_value():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(1)
-        raise StopProcess(7)
-
-    assert env.run(env.process(proc())) == 7
 
 
 def test_sequential_timeouts_accumulate():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Container."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.simcore import Container, Environment, PriorityResource, Resource, SimulationError
+from repro.simcore import Environment, Resource, SimulationError
 
 
 def test_resource_capacity_validation():
@@ -77,7 +77,7 @@ def test_explicit_release():
         req = res.request()
         yield req
         yield env.timeout(2)
-        res.release(req)
+        req.cancel()
         log.append(("a-released", env.now))
         yield env.timeout(10)
 
@@ -112,144 +112,3 @@ def test_cancel_waiting_request_leaves_queue():
     env.process(impatient())
     env.run(until=2)
     assert res.queued == 0
-
-
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(i, prio):
-        yield env.timeout(1)  # arrive while holder active
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(i)
-            yield env.timeout(1)
-
-    env.process(holder())
-    env.process(user("low", 10))
-    env.process(user("high", -1))
-    env.process(user("mid", 3))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_ties_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as r:
-            yield r
-            yield env.timeout(2)
-
-    def user(i):
-        yield env.timeout(1)
-        with res.request(priority=5) as r:
-            yield r
-            order.append(i)
-
-    env.process(holder())
-    for i in range(4):
-        env.process(user(i))
-    env.run()
-    assert order == [0, 1, 2, 3]
-
-
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-    log = []
-
-    def producer():
-        yield tank.put(30)
-        log.append(("put", env.now, tank.level))
-
-    def consumer():
-        yield env.timeout(1)
-        yield tank.get(70)
-        log.append(("got", env.now, tank.level))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [("put", 0.0, 80.0), ("got", 1.0, 10.0)]
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    log = []
-
-    def consumer():
-        yield tank.get(10)
-        log.append(env.now)
-
-    def producer():
-        yield env.timeout(5)
-        yield tank.put(10)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert log == [5.0]
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer():
-        yield tank.put(5)
-        log.append(env.now)
-
-    def consumer():
-        yield env.timeout(3)
-        yield tank.get(6)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [3.0]
-
-
-def test_container_bypass_no_convoy():
-    """A blocked large get must not starve a satisfiable small get."""
-    env = Environment()
-    tank = Container(env, capacity=100, init=5)
-    log = []
-
-    def big():
-        yield tank.get(50)
-        log.append(("big", env.now))
-
-    def small():
-        yield env.timeout(1)
-        yield tank.get(5)
-        log.append(("small", env.now))
-
-    env.process(big())
-    env.process(small())
-    env.run(until=2)
-    assert ("small", 1.0) in log
-    assert all(tag != "big" for tag, _ in log)
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Container(env, capacity=0)
-    with pytest.raises(SimulationError):
-        Container(env, capacity=5, init=10)
-    tank = Container(env, capacity=5)
-    with pytest.raises(SimulationError):
-        tank.put(-1)
-    with pytest.raises(SimulationError):
-        tank.get(-1)

@@ -1,8 +1,6 @@
-"""Unit tests for Store / PriorityStore / FilterStore."""
+"""Unit tests for Store."""
 
-import pytest
-
-from repro.simcore import Environment, FilterStore, PriorityStore, Store, StoreFull
+from repro.simcore import Environment, Store
 
 
 def test_store_fifo_order():
@@ -45,35 +43,6 @@ def test_store_get_blocks_until_put():
     assert got == [(7.0, "x")]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put("a")
-        log.append(("a", env.now))
-        yield store.put("b")
-        log.append(("b", env.now))
-
-    def consumer():
-        yield env.timeout(4)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [("a", 0.0), ("b", 4.0)]
-
-
-def test_put_nowait_raises_when_full():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("a")
-    with pytest.raises(StoreFull):
-        store.put_nowait("b")
-
-
 def test_multiple_consumers_fifo():
     env = Environment()
     store = Store(env)
@@ -95,97 +64,11 @@ def test_multiple_consumers_fifo():
     assert got == [(0, "x"), (1, "y"), (2, "z")]
 
 
-def test_priority_store_orders_items():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def producer():
-        yield store.put((5, "low"))
-        yield store.put((1, "high"))
-        yield store.put((3, "mid"))
-
-    def consumer():
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item[1])
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == ["high", "mid", "low"]
-
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def producer():
-        yield store.put({"file": "a", "v": 1})
-        yield store.put({"file": "b", "v": 2})
-
-    def consumer():
-        item = yield store.get(lambda it: it["file"] == "b")
-        got.append(item["v"])
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [2]
-    assert store.items[0]["file"] == "a"
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda it: it == "wanted")
-        got.append((env.now, item))
-
-    def producer():
-        yield store.put("other")
-        yield env.timeout(5)
-        yield store.put("wanted")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(5.0, "wanted")]
-
-
-def test_filter_store_deep_queue_match():
-    """A get deeper in the wait list must be served when its item arrives."""
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(want):
-        item = yield store.get(lambda it, w=want: it == w)
-        got.append((env.now, item))
-
-    env.process(consumer("a"))
-    env.process(consumer("b"))
-
-    def producer():
-        yield env.timeout(1)
-        yield store.put("b")  # matches the *second* waiter
-        yield env.timeout(1)
-        yield store.put("a")
-
-    env.process(producer())
-    env.run()
-    assert got == [(1.0, "b"), (2.0, "a")]
-
-
 def test_store_len():
     env = Environment()
     store = Store(env)
-    store.put_nowait(1)
-    store.put_nowait(2)
+    store.put(1)
+    store.put(2)
     assert len(store) == 2
 
 
@@ -217,29 +100,3 @@ def test_get_losing_race_does_not_swallow_item():
     env.run()
     assert ("patient", "the-item") in got
     assert got[0] == ("impatient", ["gave-up"])
-
-
-def test_put_losing_race_withdraws_from_full_store():
-    from repro.simcore import AnyOf
-
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("occupant")
-    outcomes = []
-
-    def impatient_producer():
-        result = yield store.put("late") | env.timeout(1.0, value="quit")
-        outcomes.append(sorted(map(str, result.values())))
-
-    def consumer():
-        yield env.timeout(2.0)
-        item = yield store.get()
-        outcomes.append(item)
-        # The withdrawn put must NOT sneak in afterwards.
-        yield env.timeout(1.0)
-        outcomes.append(list(store.items))
-
-    env.process(impatient_producer())
-    env.process(consumer())
-    env.run()
-    assert outcomes == [["quit"], "occupant", []]
