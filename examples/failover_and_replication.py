@@ -53,16 +53,19 @@ def scenario(replication: int):
 
     # The fault scenario, declared up front: node 3's NVMe dies now and
     # comes back (cold) after 60 ms; node 5 wedges for 40 ms without
-    # crashing; the 0<->2 link turns flaky for 30 ms.  The injector
-    # replays it inside the sim clock; clients must *notice* on their own.
+    # crashing; the 0<->2 link turns flaky for 30 ms from 60 ms on.  Every
+    # reader sits out node 5's hang on its 50 ms deadline, so an earlier
+    # flaky window would carry no traffic to drop.  The injector replays
+    # the schedule inside the sim clock; clients must *notice* on their own.
     dep.inject(FaultSchedule([
         crash(0.0, node=3, recover_after=0.06),
         hang(0.005, node=5, duration=0.04),
-        flaky_link(0.01, 0, 2, drop_prob=0.5, duration=0.03),
+        flaky_link(0.06, 0, 2, drop_prob=0.5, duration=0.03),
     ]))
     t_faulty = epoch(env, dep, "under faults")
     fallbacks = dep.metrics.counter("hvac.client_pfs_fallback").value
     timeouts = dep.metrics.counter("hvac.client_rpc_timeouts").value
+    dropped = dep.metrics.counter("fabric.dropped_messages").value
 
     # Probation expires, node 3 is re-probed and re-adopted cold.
     env.run(until=env.now + 0.2)
@@ -73,17 +76,19 @@ def scenario(replication: int):
         [t_warmup, t_healthy, t_faulty, t_recovering, t_recovered],
         fallbacks,
         timeouts,
+        dropped,
     )
 
 
 def main() -> None:
     rows = []
     for repl in (1, 2):
-        times, fallbacks, timeouts = scenario(repl)
-        rows.append([f"r={repl}", *times, fallbacks, timeouts])
+        times, fallbacks, timeouts, dropped = scenario(repl)
+        rows.append([f"r={repl}", *times, fallbacks, timeouts, dropped])
     print(format_table(
         ["config", "cold (s)", "warm (s)", "under faults (s)",
-         "recovering (s)", "recovered (s)", "PFS fallbacks", "RPC timeouts"],
+         "recovering (s)", "recovered (s)", "PFS fallbacks", "RPC timeouts",
+         "dropped msgs"],
         rows,
         title=(f"Epoch time across crash + hang + flaky link "
                f"({N_NODES} nodes, {len(FILES)} files/epoch/node)"),

@@ -12,11 +12,11 @@ event:
    (``rpc/endpoint.py``), and the per-read client/server/cache path
    (``core/{client,server,cache}.py``) is a root; the hot set is the
    closure over resolved call edges.  Observer modules the kernel
-   invokes through duck-typed attributes (trace, sanitizer, profiler,
-   metrics, spans) are added explicitly — the graph cannot resolve
-   those edges.  A bare-name instantiation of a class defined in the
-   file set marks that class *churned*: its methods join the hot set
-   even when the individual call sites cannot be resolved.
+   invokes through duck-typed attributes (trace, sanitizer, metrics,
+   spans) are added explicitly — the graph cannot resolve those edges.
+   A bare-name instantiation of a class defined in the file set marks
+   that class *churned*: its methods join the hot set even when the
+   individual call sites cannot be resolved.
 2. **PERF rules** (below) run only inside hot functions, so cold setup
    and analysis code is never flagged.
 
@@ -93,12 +93,11 @@ HOT_ROOT_MODULES = (
 )
 
 #: observer/collector modules the kernel invokes through duck-typed
-#: attributes (``trace.record``, ``profiler.begin_event``, metric and
-#: span appends) — call edges the graph cannot resolve, seeded hot
+#: attributes (``trace.record``, metric and span appends) — call edges
+#: the graph cannot resolve, seeded hot
 DEFAULT_EXTRA_HOT = (
     "simcore.monitor",
     "simcore.trace",
-    "simcore.profile",
     "simcore.stores",
     "simcore.resources",
     "obs.spans",
@@ -106,7 +105,7 @@ DEFAULT_EXTRA_HOT = (
 
 #: call targets whose string arguments are metric/span/process labels
 _LABEL_SINKS = {
-    "counter", "tally", "histogram", "get_series", "scope",
+    "counter", "tally", "histogram", "scope",
     "begin", "annotate", "end", "process", "note_access", "_incr", "incr",
 }
 

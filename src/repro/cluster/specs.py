@@ -132,10 +132,6 @@ class PFSSpec:
     #: n_data_servers / (overhead + transfer) — high enough that small
     #: files stay metadata-bound, as on the real system.
     data_server_overhead: float = 100e-6
-    #: concurrent requests a single data server can overlap
-    data_server_concurrency: int = 48
-    #: concurrent RPCs a single MDS can overlap (token server threads)
-    mds_concurrency: int = 16
     #: client-side software path length per call (GPFS client daemon)
     client_overhead: float = 25e-6
 
@@ -153,8 +149,6 @@ class NodeSpec:
     """A compute node (Summit AC922, Table I)."""
 
     n_gpus: int = 6
-    n_cores: int = 44  # 2 × POWER9 22 cores
-    memory_bytes: int = 512 * GiB
     nvme: NVMeSpec = field(default_factory=NVMeSpec)
 
 
@@ -318,7 +312,6 @@ FRONTIER = ClusterSpec(
     total_nodes=9408,
     node=NodeSpec(
         n_gpus=8,
-        n_cores=64,
         nvme=NVMeSpec(
             capacity_bytes=int(3.84e12),
             read_bandwidth=11e9,
@@ -341,7 +334,6 @@ TESTING = ClusterSpec(
     total_nodes=16,
     node=NodeSpec(
         n_gpus=1,
-        n_cores=4,
         nvme=NVMeSpec(
             capacity_bytes=10_000_000,
             read_bandwidth=1e9,

@@ -76,7 +76,6 @@ class HVACClient(FileBackend):
         pfs: FileBackend,
         spec: ClusterSpec,
         metrics: MetricRegistry | None = None,
-        spread_replica_reads: bool = True,
         rand: RandomStreams | None = None,
         spans=None,
         tenant: Optional[int] = None,
@@ -88,7 +87,6 @@ class HVACClient(FileBackend):
         self.pfs = pfs
         self.spec = spec
         self.metrics = metrics or MetricRegistry()
-        self.spread_replica_reads = spread_replica_reads
         self.rand = rand or RandomStreams(stable_hash64("hvac-client", node_id))
         #: optional :class:`~repro.obs.SpanRecorder`
         self.spans = spans
@@ -103,21 +101,19 @@ class HVACClient(FileBackend):
         #: optional :class:`~repro.prefetch.LookaheadScheduler` notified
         #: of every intercepted read (advances the clairvoyant cursor)
         self.prefetch_listener = None
-        # Deployment-wide aggregate counters keep their historical names
-        # (``hvac.client_hits`` …); the per-client scope shadows each of
-        # them under ``hvac.c<node>.…`` for SLO attribution.  Tenant
-        # clients shadow a third level, ``hvac.t<j>.…``, aggregating the
-        # tenant's traffic across all of its per-node clients.
+        # Client counters are deployment-wide aggregates (``hvac.client_hits``
+        # …); per-client and per-tenant attribution lives in the
+        # ``client.read`` spans.  The per-client scope holds only what is
+        # one collector per object: the detector's and the endpoint's.
         self._hvac = self.metrics.scope("hvac")
-        self._cscope = self._hvac.scope(f"c{node_id}")
-        self._tscope = None if tenant is None else self._hvac.scope(f"t{tenant}")
+        cscope = self._hvac.scope(f"c{node_id}")
         hvac = spec.hvac
         self.detector = FailureDetector(
             env,
             len(servers),
             suspect_after=hvac.suspect_after,
             probation=hvac.probation_period,
-            metrics=self._cscope.scope("detector"),
+            metrics=cscope.scope("detector"),
         )
         # The client endpoint shares the node's fabric ports.
         fabric = servers[0].endpoint.fabric
@@ -126,7 +122,7 @@ class HVACClient(FileBackend):
             fabric,
             node_id,
             name=f"hvac-c@n{node_id}",
-            metrics=self._cscope.scope("rpc"),
+            metrics=cscope.scope("rpc"),
             spans=spans,
         )
         #: optional :class:`~repro.membership.MembershipView` (see
@@ -166,11 +162,8 @@ class HVACClient(FileBackend):
 
     # -- telemetry helpers -------------------------------------------------
     def _incr(self, name: str, n: int = 1) -> None:
-        """Bump a client counter at every aggregation level."""
+        """Bump the deployment-wide ``hvac.<name>`` counter."""
         self._hvac.counter(name).incr(n)
-        self._cscope.counter(name).incr(n)
-        if self._tscope is not None:
-            self._tscope.counter(name).incr(n)
 
     def _route_bytes(self, root: Optional[int], route: str, nbytes: int) -> None:
         """Account ``nbytes`` delivered via ``route`` (local/remote/pfs)."""
@@ -191,7 +184,7 @@ class HVACClient(FileBackend):
             # placement order so failover stays deterministic.  The key
             # is a bound method, not a per-call closure (PERF102).
             replicas = sorted(replicas, key=self._rack_pref)
-        elif self.spread_replica_reads:
+        else:
             # Distribute read load across the replica set: stable per
             # (client, path) so an epoch's access pattern is deterministic.
             start = stable_hash64("hvac-spread", self.node_id, path) % len(replicas)
@@ -255,24 +248,14 @@ class HVACClient(FileBackend):
         rec = self.spans
         root = None
         if rec is not None:
-            if self.tenant is None:
-                root = rec.begin(
-                    "client.read",
-                    self.env.now,
-                    client=self.node_id,
-                    path=handle.path,
-                    bytes=nbytes,
-                )
-            else:
-                root = rec.begin(
-                    "client.read",
-                    self.env.now,
-                    client=self.node_id,
-                    path=handle.path,
-                    bytes=nbytes,
-                    tenant=self.tenant,
-                )
-        t0 = self.env.now
+            root = rec.begin(
+                "client.read",
+                self.env.now,
+                client=self.node_id,
+                path=handle.path,
+                bytes=nbytes,
+                **({} if self.tenant is None else {"tenant": self.tenant}),
+            )
         yield self.env.timeout(self.spec.hvac.client_request_overhead)
 
         hvac = self.spec.hvac
@@ -305,7 +288,6 @@ class HVACClient(FileBackend):
             self._route_bytes(root, route, handle.size)
             if hit is not None:
                 self._incr("client_hits" if hit else "client_misses")
-        self._cscope.histogram("read_seconds").add(self.env.now - t0)
         if degraded:
             self._incr("client_degraded_reads")
         if rec is not None:
@@ -321,7 +303,6 @@ class HVACClient(FileBackend):
         size: int,
         client_node: int,
         parent: Optional[int] = None,
-        max_retries: Optional[int] = None,
     ) -> Generator:
         """One forwarded read transaction (whole file or one segment).
 
@@ -332,7 +313,6 @@ class HVACClient(FileBackend):
         walks the detector-approved replicas; every retry path
         terminates in the PFS — a flapping server can cost at most
         ``rpc_max_retries`` strikes, never an unbounded recursion.
-        ``max_retries`` overrides that attempt cap.
         """
         hvac = self.spec.hvac
         rec = self.spans
@@ -341,7 +321,7 @@ class HVACClient(FileBackend):
         env = self.env
         detector = self.detector
         failures = 0
-        retries = max_retries if max_retries is not None else hvac.rpc_max_retries
+        retries = hvac.rpc_max_retries
         for attempt in range(retries):
             candidates = self._candidates(path)
             if not candidates:

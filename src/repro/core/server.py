@@ -92,17 +92,17 @@ class HVACServer:
         self.metrics = metrics or MetricRegistry()
         #: optional :class:`~repro.obs.SpanRecorder`
         self.spans = spans
-        # Deployment-wide aggregates keep their historical names
-        # (``hvac.cache_hits`` …); the per-server scope shadows them
-        # under ``hvac.s<id>.…`` for SLO attribution.
+        # Server counters are deployment-wide aggregates
+        # (``hvac.cache_hits`` …); per-server attribution lives in the
+        # ``server.read`` spans.  Only the endpoint keeps a per-server
+        # scope, for its failed-call counters.
         self._hvac = self.metrics.scope("hvac")
-        self._sscope = self._hvac.scope(f"s{server_id}")
         self.endpoint = RPCEndpoint(
             env,
             fabric,
             node_id,
             name=f"hvac-s{server_id}@n{node_id}",
-            metrics=self._sscope.scope("rpc"),
+            metrics=self._hvac.scope(f"s{server_id}").scope("rpc"),
             spans=spans,
         )
         self.cache = CacheManager(
@@ -124,7 +124,6 @@ class HVACServer:
         self._svc_name = f"hvac{server_id}.svc"
         self._nvme_name = f"hvac{server_id}.nvme"
         self._announce_name = f"hvac{server_id}.announce"
-        self._read_seconds = self._sscope.histogram("read_seconds")
         # The dedicated data-mover thread: a serial dispatch resource.
         self._mover = Resource(env, capacity=1)
         # Async copy slots the mover can keep in flight against PFS/NVMe.
@@ -308,9 +307,8 @@ class HVACServer:
 
     # -- telemetry helpers -------------------------------------------------
     def _incr(self, name: str, n: int = 1) -> None:
-        """Bump a server counter at both aggregation levels."""
+        """Bump the deployment-wide ``hvac.<name>`` counter."""
         self._hvac.counter(name).incr(n)
-        self._sscope.counter(name).incr(n)
 
     # -- RPC handlers ----------------------------------------------------
     def _handle_read(self, payload: tuple, src: int) -> Generator:
@@ -327,25 +325,15 @@ class HVACServer:
         rec = self.spans
         sid = None
         if rec is not None:
-            if tenant is None:
-                sid = rec.begin(
-                    "server.read",
-                    self.env.now,
-                    parent=parent,
-                    server=self.server_id,
-                    path=path,
-                    bytes=size,
-                )
-            else:
-                sid = rec.begin(
-                    "server.read",
-                    self.env.now,
-                    parent=parent,
-                    server=self.server_id,
-                    path=path,
-                    bytes=size,
-                    tenant=tenant,
-                )
+            sid = rec.begin(
+                "server.read",
+                self.env.now,
+                parent=parent,
+                server=self.server_id,
+                path=path,
+                bytes=size,
+                **({} if tenant is None else {"tenant": tenant}),
+            )
         req = ReadRequest(
             path=path,
             size=size,
@@ -354,7 +342,6 @@ class HVACServer:
             done=self.env.event(),
             span=sid,
         )
-        t0 = self.env.now
         try:
             yield self.queue.put(req)
             yield req.done
@@ -376,8 +363,6 @@ class HVACServer:
         if req.read_proc is not None:
             yield req.read_proc
         self._incr("bytes_served", size)
-        # race: waive RACE201 -- histogram fold; commutative metrics aggregate
-        self._read_seconds.add(self.env.now - t0)
         if rec is not None:
             rec.end(sid, self.env.now)
         return req.hit

@@ -7,9 +7,10 @@ Three layers, all layered on the deterministic sim clock:
   never changes the event-stream fingerprint of a run.
 * metric scopes — hierarchical, histogram-capable views over
   :class:`repro.simcore.MetricRegistry` (see ``simcore/monitor.py``);
-  every instrumented component (client, server, cache, RPC, storage,
-  NVMe, failure detector) records under its own dotted scope.
-* :mod:`.slo` — rolls spans + metrics into per-client / per-server SLO
+  HVAC clients and servers count deployment-wide ``hvac.`` aggregates,
+  while caches, RPC endpoints, storage, NVMe and failure detectors
+  record under their own dotted scope.
+* :mod:`.slo` — rolls spans into per-client / per-server SLO
   windows: p50/p95/p99 read latency, degraded-read fraction, and
   bytes-by-path (NVMe-local / remote-RPC / PFS-fallback).
 

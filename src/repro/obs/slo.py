@@ -1,4 +1,4 @@
-"""SLO aggregation: spans + metrics → per-entity degradation windows.
+"""SLO aggregation: spans → per-entity degradation windows.
 
 Rolls the span timeline (:mod:`repro.obs.spans`) into per-client and
 per-server SLO windows — fixed-width sim-time buckets each carrying

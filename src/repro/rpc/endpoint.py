@@ -86,22 +86,18 @@ class RPCEndpoint:
         self._handlers: dict[str, Callable[..., Generator]] = {}
         self._alive = True
         self._hung = False
-        #: optional :class:`~repro.simcore.MetricScope` for call outcome
-        #: counters and a call-latency histogram
+        #: optional :class:`~repro.simcore.MetricScope` for the failed-call
+        #: counters (``timeouts``, ``errors``); call latency lives in the
+        #: ``rpc.<op>`` spans
         self.metrics = metrics
-        # Hoisted collectors: every successful call increments these, so
-        # the per-call name lookups must not rebuild dotted labels
-        # (PERF103).
+        # Hoisted collectors: the per-failure name lookups must not
+        # rebuild dotted labels (PERF103).
         if metrics is not None:
-            self._m_calls = metrics.counter("calls")
-            self._m_call_seconds = metrics.histogram("call_seconds")
             self._m_status = {
                 "timeout": metrics.counter("timeouts"),
                 "error": metrics.counter("errors"),
             }
         else:
-            self._m_calls = None
-            self._m_call_seconds = None
             self._m_status = None
         #: optional :class:`~repro.obs.SpanRecorder`; when set, every
         #: outbound call records an ``rpc.<op>`` span under the caller's
@@ -205,18 +201,12 @@ class RPCEndpoint:
         """
         rec = self.spans
         sid = None
-        t0 = self.env.now
         if rec is not None:
-            if tenant is None:
-                sid = rec.begin(
-                    self._span_name(op), t0, span,
-                    src=self.node_id, dst=target.node_id,
-                )
-            else:
-                sid = rec.begin(
-                    self._span_name(op), t0, span,
-                    src=self.node_id, dst=target.node_id, tenant=tenant,
-                )
+            sid = rec.begin(
+                self._span_name(op), self.env.now, span,
+                src=self.node_id, dst=target.node_id,
+                **({} if tenant is None else {"tenant": tenant}),
+            )
         try:
             value = yield from self._call(
                 target, op, payload, payload_bytes, response_bytes, timeout
@@ -228,9 +218,6 @@ class RPCEndpoint:
             if rec is not None:
                 rec.end(sid, self.env.now, status=status)
             raise
-        if self._m_calls is not None:
-            self._m_calls.incr()
-            self._m_call_seconds.add(self.env.now - t0)
         if rec is not None:
             rec.end(sid, self.env.now)
         return value

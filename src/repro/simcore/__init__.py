@@ -13,8 +13,7 @@ from .engine import (
     run_all,
 )
 from .cells import cell_name
-from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Series, Tally
-from .profile import ComponentProfile, SimProfiler
+from .monitor import Counter, Histogram, MetricRegistry, MetricScope, Tally
 from .rand import RandomStreams, stable_hash64
 from .resources import Resource
 from .stores import Store
@@ -23,7 +22,6 @@ from .trace import EventRecord, EventTrace, event_label
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ComponentProfile",
     "Condition",
     "Counter",
     "Environment",
@@ -40,8 +38,6 @@ __all__ = [
     "run_all",
     "cell_name",
     "Resource",
-    "Series",
-    "SimProfiler",
     "SimulationError",
     "stable_hash64",
     "Store",

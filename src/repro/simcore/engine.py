@@ -432,15 +432,10 @@ class Environment:
         # and never constructs a label (zero-allocation when detached).
         self._trace = None  # event-stream fingerprinting (simcore/trace.py)
         self._sanitizer = None  # sim-time race sanitizer (check/races.py)
-        self._profiler = None  # per-component attribution (simcore/profile.py)
         self._observed = False
 
     def _update_observed(self) -> None:
-        self._observed = (
-            self._trace is not None
-            or self._sanitizer is not None
-            or self._profiler is not None
-        )
+        self._observed = self._trace is not None or self._sanitizer is not None
 
     # -- tracing -------------------------------------------------------
     @property
@@ -474,26 +469,6 @@ class Environment:
 
     def detach_sanitizer(self) -> None:
         self._sanitizer = None
-        self._update_observed()
-
-    # -- profiling -----------------------------------------------------
-    @property
-    def profiler(self):
-        """The attached :class:`~repro.simcore.profile.SimProfiler`, if any."""
-        return self._profiler
-
-    def attach_profiler(self, profiler) -> None:
-        """Attribute every fired event to a component from now on.
-
-        Like the sanitizer, the profiler observes only (kernel counters
-        and simulated time) — the event-stream fingerprint is unchanged
-        and its attribution is same-seed deterministic.
-        """
-        self._profiler = profiler
-        self._update_observed()
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
         self._update_observed()
 
     def note_access(self, cell: str, mode: str, tag=None) -> None:
@@ -539,14 +514,10 @@ class Environment:
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         seq = next(self._seq)
         heappush(self._queue, (self._now + delay, priority, seq, event))
-        if self._observed:
-            if self._sanitizer is not None:
-                # Same-timestamp causality: a zero-delay child's order
-                # after its scheduler is program-defined, not
-                # insertion-accidental.
-                self._sanitizer.note_schedule(seq, delay)
-            if self._profiler is not None:
-                self._profiler.note_schedule(seq, delay)
+        if self._observed and self._sanitizer is not None:
+            # Same-timestamp causality: a zero-delay child's order after
+            # its scheduler is program-defined, not insertion-accidental.
+            self._sanitizer.note_schedule(seq, delay)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue empty."""
@@ -566,18 +537,13 @@ class Environment:
                 self._trace.record(self._now, priority, seq, label)
             if self._sanitizer is not None:
                 self._sanitizer.begin_event(self._now, priority, seq, label)
-            if self._profiler is not None:
-                self._profiler.begin_event(self._now, priority, seq, label)
 
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
 
-        if observed:
-            if self._sanitizer is not None:
-                self._sanitizer.end_event()
-            if self._profiler is not None:
-                self._profiler.end_event(len(callbacks))
+        if observed and self._sanitizer is not None:
+            self._sanitizer.end_event()
 
         if not event._ok and not event._defused:
             # Unhandled failure: crash the simulation loudly.

@@ -1,14 +1,13 @@
 """Lightweight instrumentation for simulation components.
 
-Collectors are plain append-only series with numpy-backed reduction, so
-hot paths pay one ``list.append`` per sample.  Everything downstream
-(tables, CDFs, confidence intervals) reads from these.
+Collectors are O(1)-memory accumulators (counters, Welford tallies,
+geometric-binned histograms), so hot paths pay one update per sample and
+never touch the kernel.
 
 Names are hierarchical, dot-joined strings.  A :class:`MetricScope` is a
 prefix view over one shared :class:`MetricRegistry` — components hold a
 scope (``hvac.c3.detector``) instead of hand-assembling prefixes, and
-scopes nest, so the observability layer (``repro.obs``) can slice the
-namespace by component without any coordination.
+scopes nest.
 """
 
 from __future__ import annotations
@@ -16,55 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
-    "Series",
     "Counter",
     "Tally",
     "Histogram",
     "MetricScope",
     "MetricRegistry",
 ]
-
-
-class Series:
-    """Timestamped samples ``(t, value)``."""
-
-    __slots__ = ("name", "_t", "_v")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._t: list[float] = []
-        self._v: list[float] = []
-
-    def record(self, t: float, value: float) -> None:
-        self._t.append(t)
-        self._v.append(value)
-
-    def __len__(self) -> int:
-        return len(self._v)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._t, dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._v, dtype=float)
-
-    def mean(self) -> float:
-        return float(np.mean(self._v)) if self._v else float("nan")
-
-    def total(self) -> float:
-        return float(np.sum(self._v)) if self._v else 0.0
-
-    def rate(self) -> float:
-        """Samples per unit time over the observed window."""
-        if len(self._t) < 2:
-            return 0.0
-        span = self._t[-1] - self._t[0]
-        return (len(self._t) - 1) / span if span > 0 else float("inf")
 
 
 class Counter:
@@ -240,15 +197,13 @@ class MetricScope:
     plain dict hit (PERF103).
     """
 
-    __slots__ = ("registry", "prefix", "_counters", "_tallies",
-                 "_series", "_histograms")
+    __slots__ = ("registry", "prefix", "_counters", "_tallies", "_histograms")
 
     def __init__(self, registry: "MetricRegistry", prefix: str):
         self.registry = registry
         self.prefix = prefix
         self._counters: dict[str, Counter] = {}
         self._tallies: dict[str, Tally] = {}
-        self._series: dict[str, Series] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def _name(self, name: str) -> str:
@@ -269,12 +224,6 @@ class MetricScope:
             t = self._tallies[name] = self.registry.tally(self._name(name))
         return t
 
-    def get_series(self, name: str) -> Series:
-        s = self._series.get(name)
-        if s is None:
-            s = self._series[name] = self.registry.get_series(self._name(name))
-        return s
-
     def histogram(self, name: str, **kwargs) -> Histogram:
         if kwargs:
             # Custom binning must reach the registry (first caller wins
@@ -293,16 +242,9 @@ class MetricScope:
 class MetricRegistry:
     """Namespaced container of collectors shared across one simulation."""
 
-    series: dict[str, Series] = field(default_factory=dict)
     counters: dict[str, Counter] = field(default_factory=dict)
     tallies: dict[str, Tally] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
-
-    def get_series(self, name: str) -> Series:
-        s = self.series.get(name)
-        if s is None:
-            s = self.series[name] = Series(name)
-        return s
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -325,16 +267,6 @@ class MetricRegistry:
     def scope(self, prefix: str) -> MetricScope:
         """A nestable dotted-prefix view (see :class:`MetricScope`)."""
         return MetricScope(self, prefix)
-
-    def under(self, prefix: str) -> dict[str, object]:
-        """Every collector whose name sits under ``prefix.``."""
-        dot = prefix + "."
-        out: dict[str, object] = {}
-        for pool in (self.counters, self.tallies, self.histograms, self.series):
-            for name, collector in pool.items():
-                if name.startswith(dot) or name == prefix:
-                    out[name] = collector
-        return out
 
     def snapshot(self) -> dict:
         """A plain-dict view of every collector (for result records)."""
@@ -359,7 +291,4 @@ class MetricRegistry:
                 "max": h.max,
                 **h.percentiles(),
             }
-        for name, s in self.series.items():
-            # perf: waive PERF105 -- post-run snapshot assembly, not per-event
-            out[name] = {"n": len(s), "mean": s.mean(), "total": s.total()}
         return out

@@ -44,6 +44,13 @@ class TestExamples:
         res = run_example("failover_and_replication.py")
         assert res.returncode == 0, res.stderr
         assert "PFS fallbacks" in res.stdout
+        # the flaky link must drop live traffic in both configurations
+        lines = res.stdout.splitlines()
+        header = next(line for line in lines if line.startswith("config"))
+        assert header.endswith("dropped msgs")
+        rows = [row for row in map(str.split, lines) if row[:1] in (["r=1"], ["r=2"])]
+        assert len(rows) == 2
+        assert all(int(row[-1]) > 0 for row in rows)
 
     def test_real_file_cache_demo(self):
         res = run_example("real_file_cache_demo.py")

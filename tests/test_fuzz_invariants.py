@@ -83,16 +83,18 @@ class TestHungRead:
 class TestRetryBound:
     def test_unbounded_walk_with_deaf_detector(self, monkeypatch):
         # two bugs that together make the retry loop effectively
-        # unbounded: the walk ignores its budget, and the detector never
-        # accrues strikes (so the dead server stays an approved target)
-        orig = HVACClient._forward_read
+        # unbounded: the walk ignores its budget (every client walks a
+        # doubled retry cap, while the executor allows the scenario
+        # spec's), and the detector never accrues strikes (so the dead
+        # server stays an approved target)
+        orig = HVACClient.__init__
 
-        def over_budget(self, path, size, client_node, parent=None,
-                        max_retries=None):
-            return orig(self, path, size, client_node, parent=parent,
-                        max_retries=2 * self.spec.hvac.rpc_max_retries)
+        def over_budget(self, *args, **kwargs):
+            orig(self, *args, **kwargs)
+            hvac = self.spec.hvac
+            self.spec = self.spec.with_hvac(rpc_max_retries=2 * hvac.rpc_max_retries)
 
-        monkeypatch.setattr(HVACClient, "_forward_read", over_budget)
+        monkeypatch.setattr(HVACClient, "__init__", over_budget)
         monkeypatch.setattr(
             FailureDetector, "record_failure", lambda self, sid: None
         )

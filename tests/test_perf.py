@@ -1,5 +1,5 @@
-"""Hot-path analyzer (``repro check --perf``), the sim-time profiler,
-and the bench trajectory format."""
+"""Hot-path analyzer (``repro check --perf``) and the bench trajectory
+format."""
 
 import os
 
@@ -21,7 +21,6 @@ from repro.check import (
     perf_lint_tree,
     run_perf,
 )
-from repro.simcore import Environment, EventTrace, RandomStreams, SimProfiler
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -181,67 +180,6 @@ class TestRepoIsClean:
         # the real tree must resolve a hot set, not fall back to all-hot
         assert not result.all_hot
         assert result.n_hot > 0
-
-
-# ---------------------------------------------------------------------------
-# Sim-time profiler: deterministic attribution, zero-cost detached.
-# ---------------------------------------------------------------------------
-
-
-def profiled_run(seed):
-    env = Environment()
-    prof = SimProfiler()
-    env.attach_profiler(prof)
-    rng = RandomStreams(seed).stream("load")
-
-    def worker(n):
-        for _ in range(n):
-            yield env.timeout(float(rng.uniform(0.1, 1.0)))
-
-    for i in range(3):
-        env.process(worker(20), name=f"w{i}")
-    env.run()
-    return prof
-
-
-class TestProfiler:
-    def test_same_seed_double_run_identical(self):
-        a = profiled_run(7).as_dict()
-        b = profiled_run(7).as_dict()
-        assert a == b
-        assert a["total_events"] > 0
-
-    def test_digit_runs_collapse_to_one_component(self):
-        prof = profiled_run(7)
-        names = [c.component for c in prof.components.values()]
-        assert "Process:w#" in names
-        assert not any(n.startswith("Process:w0") for n in names)
-
-    def test_counts_match_the_event_trace(self):
-        env = Environment()
-        prof, trace = SimProfiler(), EventTrace()
-        env.attach_profiler(prof)
-        env.attach_trace(trace)
-
-        def proc():
-            yield env.timeout(1.0)
-            yield env.timeout(2.0)
-
-        env.process(proc(), name="p")
-        env.run()
-        assert prof.total_events == trace.count > 0
-
-    def test_top_ranks_by_events(self):
-        prof = profiled_run(3)
-        top = prof.top(3)
-        assert len(top) >= 2
-        assert top[0].events >= top[-1].events
-
-    def test_describe_mentions_totals(self):
-        prof = profiled_run(3)
-        text = prof.describe()
-        assert "TOTAL" in text
-        assert str(prof.total_events) in text
 
 
 # ---------------------------------------------------------------------------
